@@ -4,12 +4,13 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use leakage_cachesim::{Cache, CacheConfig, FrameId};
 use leakage_core::policy::{OptHybrid, PrefetchGuided, PrefetchScheme};
 use leakage_core::{
-    CircuitParams, EnergyContext, RefetchAccounting, TechnologyNode,
+    CircuitParams, EnergyContext, GeneralizedModel, OptFamily, RefetchAccounting, TechnologyNode,
 };
+use leakage_experiments::profile_suite;
 use leakage_intervals::{CompactIntervalDist, IntervalClass, IntervalExtractor, IntervalKind, WakeHints};
 use leakage_prefetch::{NextLinePrefetcher, StridePrefetcher};
 use leakage_trace::{Address, Cycle, LineAddr, Pc};
-use leakage_workloads::SplitMix64;
+use leakage_workloads::{Scale, SplitMix64};
 
 const N: u64 = 100_000;
 
@@ -99,20 +100,46 @@ fn bench_policy_eval(c: &mut Criterion) {
             1 + rng.below(100),
         );
     }
+    let table = dist.freeze();
     let ctx = EnergyContext::new(
         CircuitParams::for_node(TechnologyNode::N70),
         RefetchAccounting::PaperStrict,
     );
     let mut group = c.benchmark_group("policy");
-    group.throughput(Throughput::Elements(dist.num_classes() as u64));
+    group.throughput(Throughput::Elements(table.num_classes() as u64));
     group.bench_function("opt_hybrid_over_10k_classes", |b| {
-        b.iter(|| black_box(ctx.evaluate(&OptHybrid::new(), &dist)))
+        b.iter(|| black_box(ctx.evaluate(&OptHybrid::new(), &table)))
     });
     group.bench_function("prefetch_b_over_10k_classes", |b| {
         b.iter(|| {
-            black_box(ctx.evaluate(&PrefetchGuided::new(PrefetchScheme::B), &dist))
+            black_box(ctx.evaluate(&PrefetchGuided::new(PrefetchScheme::B), &table))
         })
     });
+    group.finish();
+}
+
+/// One sweep point (a profile side at 70nm: OPT-Drowsy, OPT-Sleep and
+/// OPT-Hybrid savings) evaluated by the per-class oracle and in closed
+/// form, back to back on each suite profile. `scripts/bench_sweep_eval.sh`
+/// turns the printed pairs into `results/BENCH_sweep_eval.json`.
+fn bench_sweep_eval(c: &mut Criterion) {
+    let model = GeneralizedModel::from_params(CircuitParams::for_node(TechnologyNode::N70));
+    let ctx = model.context();
+    let b = ctx.inflection_points().drowsy_sleep;
+    let families = [OptFamily::Drowsy, OptFamily::Sleep { threshold: b }, OptFamily::Hybrid];
+    let policies = families.map(OptFamily::policy);
+    let mut group = c.benchmark_group("sweep_eval");
+    for profile in profile_suite(Scale::Small) {
+        for (side, cache) in [("icache", &profile.icache), ("dcache", &profile.dcache)] {
+            let table = &cache.dist;
+            group.bench_function(format!("oracle/{}/{side}", profile.name), |bench| {
+                bench.iter(|| policies.each_ref().map(|p| ctx.evaluate(p.as_ref(), table)))
+            });
+            group.bench_function(format!("closed_form/{}/{side}", profile.name), |bench| {
+                bench.iter(|| model.optimal_savings(table))
+            });
+        }
+    }
     group.finish();
 }
 
@@ -121,6 +148,7 @@ criterion_group!(
     bench_cache,
     bench_extractor,
     bench_prefetchers,
-    bench_policy_eval
+    bench_policy_eval,
+    bench_sweep_eval
 );
 criterion_main!(benches);

@@ -11,16 +11,16 @@
 use leakage_cachesim::{Cache, CacheConfig};
 use leakage_core::envelope;
 use leakage_core::policy::OptHybrid;
-use leakage_core::{EnergyContext, GeneralizedModel, PowerMode, RefetchAccounting};
-use leakage_energy::{CircuitParams, ModePowers, ModeTimings, TechnologyNode};
+use leakage_core::{EnergyContext, GeneralizedModel, OptFamily, PowerMode, RefetchAccounting};
+use leakage_energy::{CircuitParams, ModePowers, ModeTimings, TechnologyNode, TransitionModel};
 use leakage_intervals::{
-    CompactIntervalDist, IntervalClass, IntervalExtractor, IntervalKind, LineCentricExtractor,
-    StreamingExtractor, WakeHints,
+    ClassCategory, CompactIntervalDist, IntervalClass, IntervalExtractor, IntervalKind,
+    IntervalTable, LineCentricExtractor, StreamingExtractor, WakeHints,
 };
 use leakage_isa::{IsaSource, PROGRAMS};
 use leakage_prefetch::{NextLinePrefetcher, StridePrefetcher};
 use leakage_trace::{AccessKind, Cycle, LineAddr, MemoryAccess, Pc};
-use leakage_workloads::{suite, Scale};
+use leakage_workloads::{isa_suite, suite, Scale};
 use proptest::TestRng;
 
 use crate::dp::{greedy_energy, min_energy_dp, min_energy_exhaustive};
@@ -155,7 +155,7 @@ pub fn check_theorem_dp(instances: u32) -> CheckOutcome {
             );
         }
         // The production policy framework must land on the same total.
-        let hybrid = ctx.evaluate(&OptHybrid::new(), &dist).energy;
+        let hybrid = ctx.evaluate(&OptHybrid::new(), &dist.freeze()).energy;
         if !energy_close(hybrid, dp) {
             return CheckOutcome::fail(
                 NAME,
@@ -662,6 +662,184 @@ pub fn check_fig6() -> CheckOutcome {
     CheckOutcome::pass(NAME, format!("{compared} energies across {} nodes", TechnologyNode::ALL.len()))
 }
 
+/// The circuit contexts the closed-form check sweeps: every node under
+/// every transition model, refetch energy scaled from 0 to 4000‰ of
+/// the node's preset, both refetch accountings, with and without a
+/// writeback charge.
+fn closed_form_contexts() -> Vec<(String, EnergyContext)> {
+    let mut contexts = Vec::new();
+    for node in TechnologyNode::ALL {
+        let preset = CircuitParams::for_node(node);
+        for transition in [
+            TransitionModel::LowEndpoint,
+            TransitionModel::Trapezoidal,
+            TransitionModel::HighEndpoint,
+        ] {
+            for permille in [0u32, 1, 250, 1000, 2500, 4000] {
+                let params = CircuitParams::builder()
+                    .derived_from(node)
+                    .powers(*preset.powers())
+                    .timings(*preset.timings())
+                    .transition_model(transition)
+                    .refetch_energy(preset.refetch_energy() * f64::from(permille) / 1000.0)
+                    .build();
+                let (accounting, writeback) = match permille {
+                    250 => (RefetchAccounting::DeadAware, None),
+                    2500 => (RefetchAccounting::PaperStrict, Some(preset.refetch_energy())),
+                    _ => (RefetchAccounting::PaperStrict, None),
+                };
+                let ctx = match writeback {
+                    Some(wb) => EnergyContext::with_writeback(params, accounting, wb),
+                    None => EnergyContext::new(params, accounting),
+                };
+                contexts.push((format!("{node} {transition:?} {permille}‰ {accounting:?}"), ctx));
+            }
+        }
+    }
+    contexts
+}
+
+/// Every length at which some oracle's choice can change, and its
+/// neighbours: zero, the ramp and feasibility overheads at every
+/// timeline position, the inflection points `a` and `b`, the
+/// sleep–active crossing, the `OPT-Sleep` thresholds, and lengths of
+/// 2^40 cycles and beyond.
+pub fn breakpoint_lengths(ctx: &EnergyContext) -> Vec<u64> {
+    let t = ctx.params().timings();
+    let points = ctx.inflection_points();
+    let sleep_active = ctx.model().sleep_active_point_exact();
+    let mut centres = vec![
+        0,
+        t.d1,
+        t.d3,
+        t.d1 + t.d3,
+        t.s1,
+        t.s3 + t.s4,
+        t.s1 + t.s3 + t.s4,
+        points.active_drowsy,
+        points.drowsy_sleep,
+        sleep_active.floor() as u64,
+        10_000,
+        1 << 40,
+        (1 << 40) + 12_345,
+        1 << 48,
+    ];
+    // Crossings of every pair of mode lines in every category.
+    for code in 0..ClassCategory::COUNT {
+        let category = ClassCategory::from_code(code);
+        let lines = PowerMode::ALL.map(|mode| ctx.mode_line(mode, category));
+        for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+            centres.extend(lines[i].crossing(&lines[j]).filter(|&at| at < 1 << 50));
+        }
+    }
+    let mut lengths: Vec<u64> = centres
+        .iter()
+        .flat_map(|&c| [c.saturating_sub(1), c, c + 1])
+        .collect();
+    lengths.sort_unstable();
+    lengths.dedup();
+    lengths
+}
+
+/// A random table over every category, its lengths drawn mostly from
+/// `breakpoints`, with total cycle mass kept below 2^62.
+fn sample_table(rng: &mut TestRng, breakpoints: &[u64]) -> IntervalTable {
+    let mut dist = CompactIntervalDist::new();
+    let mut mass = 0u64;
+    for _ in 0..1 + rng.below(60) {
+        let length = match rng.below(4) {
+            0 => rng.below(200_000),
+            _ => breakpoints[rng.below(breakpoints.len() as u64) as usize],
+        };
+        let count = match rng.below(8) {
+            0 => 0,
+            _ if length >= 1 << 32 => 1 + rng.below(4),
+            _ => 1 + rng.below(1_000),
+        };
+        let added = length.saturating_mul(count);
+        if mass.saturating_add(added) >= 1 << 62 {
+            continue;
+        }
+        mass += added;
+        let category = ClassCategory::from_code(rng.below(ClassCategory::COUNT as u64) as usize);
+        dist.add(category.class(length), count);
+    }
+    dist.freeze()
+}
+
+/// Compares the closed form with the per-class oracle for every OPT
+/// family on one table; `Err` describes the first divergence.
+fn compare_closed_form(ctx: &EnergyContext, table: &IntervalTable) -> Result<(), String> {
+    let b = ctx.inflection_points().drowsy_sleep;
+    for family in [
+        OptFamily::Drowsy,
+        OptFamily::Hybrid,
+        OptFamily::Sleep { threshold: b },
+        OptFamily::Sleep { threshold: 10_000 },
+    ] {
+        let fast = ctx.evaluate_opt(family, table);
+        let oracle = ctx.evaluate(family.policy().as_ref(), table);
+        if !energy_close(fast.energy, oracle.energy)
+            || !energy_close(fast.baseline, oracle.baseline)
+            || fast.infeasible_fallbacks != oracle.infeasible_fallbacks
+        {
+            return Err(format!("{family:?}: closed form {fast:?} vs oracle {oracle:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// The closed-form OPT evaluation against the per-class oracle
+/// ([`EnergyContext::evaluate`]) at [`ENERGY_RTOL`](crate::ENERGY_RTOL):
+/// `tables` fuzzed tables per context with lengths on and next to
+/// every breakpoint, over every node, transition model, refetch scale
+/// from 0 to 4000‰ and both accountings; then the interval tables of
+/// every synthetic and ISA benchmark at `scale` under a subset of those
+/// contexts. Fallback counts must match exactly.
+pub fn check_closed_form_sweep(tables: u32, scale: Scale) -> CheckOutcome {
+    const NAME: &str = "closed_form_sweep";
+    let mut rng = rng_for(NAME);
+    let contexts = closed_form_contexts();
+    for (label, ctx) in &contexts {
+        let breakpoints = breakpoint_lengths(ctx);
+        for instance in 0..tables {
+            let table = sample_table(&mut rng, &breakpoints);
+            if let Err(err) = compare_closed_form(ctx, &table) {
+                return CheckOutcome::fail(NAME, format!("{label} fuzz table {instance}: {err}"));
+            }
+        }
+    }
+    let mut profiled = 0;
+    for bench in suite(scale).iter_mut().chain(&mut isa_suite(scale)) {
+        let mut trace: Vec<MemoryAccess> = Vec::new();
+        leakage_trace::TraceSource::run(bench, &mut trace);
+        let (fetches, data): (Vec<MemoryAccess>, Vec<MemoryAccess>) =
+            trace.iter().partition(|a| a.kind.is_fetch());
+        for (side, accesses, config) in [
+            ("l1i", &fetches, CacheConfig::alpha_l1i()),
+            ("l1d", &data, CacheConfig::alpha_l1d()),
+        ] {
+            let table = replay_side(accesses, config).prod_dist.freeze();
+            // Every fifth context: 15 of 72, spanning every node,
+            // transition model and refetch scale.
+            for (label, ctx) in contexts.iter().step_by(5) {
+                if let Err(err) = compare_closed_form(ctx, &table) {
+                    return CheckOutcome::fail(NAME, format!("{}/{side} {label}: {err}", bench.name()));
+                }
+            }
+            profiled += 1;
+        }
+    }
+    CheckOutcome::pass(
+        NAME,
+        format!(
+            "{} fuzz tables over {} contexts; {profiled} benchmark tables",
+            tables as usize * contexts.len(),
+            contexts.len()
+        ),
+    )
+}
+
 /// Production prefetchers against the naive references on fuzzed
 /// streams: next-line must agree exactly; the stride table, sized so
 /// the fuzzed PCs cannot collide, must agree exactly too.
@@ -724,6 +902,7 @@ pub fn run_conformance(scale: Scale, theorem_instances: u32) -> ConformanceRepor
     let (cache, extract) = check_workloads(scale);
     report.checks.push(cache);
     report.checks.push(extract);
+    report.checks.push(check_closed_form_sweep(20, scale));
     report
 }
 

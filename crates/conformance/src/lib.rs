@@ -15,6 +15,7 @@
 //! | batch + O(n²) interval extractors | `leakage-intervals` streaming extractors | [`refextract`] |
 //! | literal Fig. 6 state-machine interpreter | `leakage-core` generalized model | [`fig6`] |
 //! | unbounded-table next-line / stride predictors | `leakage-prefetch` analyzers | [`refprefetch`] |
+//! | per-class policy walk (`EnergyContext::evaluate`) | closed-form OPT evaluation (`leakage-core`) | [`harness`] |
 //!
 //! The references deliberately trade every efficiency concern for
 //! transparency: they buffer whole traces, scan quadratically, and

@@ -194,7 +194,7 @@ mod tests {
         assert_eq!(dist.total_intervals(), 4); // leading, interior, trailing, untouched
         assert_eq!(dist.total_cycles(), 2 * 50); // coverage per frame
         assert_eq!(
-            dist.count_matching(|c| c.kind == IntervalKind::Untouched),
+            dist.freeze().count_matching(|c| c.kind == IntervalKind::Untouched),
             1
         );
     }
@@ -222,7 +222,7 @@ mod tests {
         // line 0: one interior + trailing; line 3: trailing.
         assert_eq!(dist.total_intervals(), 3);
         assert_eq!(
-            dist.cycles_matching(|c| c.kind == IntervalKind::Trailing),
+            dist.freeze().cycles_matching(|c| c.kind == IntervalKind::Trailing),
             (20 - 9) + (20 - 12)
         );
     }

@@ -9,8 +9,8 @@
 //! [`leakage_conformance::run_conformance`].
 
 use leakage_conformance::harness::{
-    check_cache_fuzz, check_extractor_fuzz, check_fig6, check_prefetch_fuzz,
-    check_streaming_intervals, check_theorem_dp, check_workloads,
+    check_cache_fuzz, check_closed_form_sweep, check_extractor_fuzz, check_fig6,
+    check_prefetch_fuzz, check_streaming_intervals, check_theorem_dp, check_workloads,
 };
 use leakage_conformance::run_conformance;
 use leakage_workloads::Scale;
@@ -59,11 +59,17 @@ fn workloads_match_references_exactly_at_test_scale() {
 }
 
 #[test]
+fn closed_form_sweep_matches_per_class_oracle() {
+    let outcome = check_closed_form_sweep(50, Scale::Test);
+    assert!(outcome.passed, "{}: {}", outcome.name, outcome.detail);
+}
+
+#[test]
 fn full_suite_reports_every_check() {
     // A fast full-suite pass exercising the aggregate report shape the
     // repro CLI consumes (instance counts reduced; the heavyweight
     // gates above run the real acceptance sizes).
     let report = run_conformance(Scale::Custom(20_000), 500);
-    assert_eq!(report.checks.len(), 8);
+    assert_eq!(report.checks.len(), 9);
     assert!(report.all_passed(), "failures: {:?}", report.failures());
 }

@@ -3,7 +3,7 @@
 use crate::perf::StallAccount;
 use crate::{LeakagePolicy, PowerMode};
 use leakage_energy::{CircuitParams, Energy, InflectionPoints, IntervalEnergyModel};
-use leakage_intervals::{CompactIntervalDist, IntervalClass, IntervalKind};
+use leakage_intervals::{IntervalClass, IntervalKind, IntervalTable};
 use serde::{Deserialize, Serialize};
 
 /// How the induced-miss refetch energy `C_D` is charged when a policy
@@ -251,13 +251,11 @@ impl EnergyContext {
         best.0
     }
 
-    /// Evaluates a policy over a whole interval distribution.
-    pub fn evaluate(
-        &self,
-        policy: &dyn LeakagePolicy,
-        dist: &CompactIntervalDist,
-    ) -> PolicyEvaluation {
-        self.evaluate_with_perf(policy, dist).0
+    /// Evaluates a policy over a whole interval table, one class at a
+    /// time in table order — the oracle every faster evaluator is
+    /// checked against.
+    pub fn evaluate(&self, policy: &dyn LeakagePolicy, table: &IntervalTable) -> PolicyEvaluation {
+        self.evaluate_with_perf(policy, table).0
     }
 
     /// Evaluates a policy's energy *and* its performance cost: the stall
@@ -266,13 +264,14 @@ impl EnergyContext {
     pub fn evaluate_with_perf(
         &self,
         policy: &dyn LeakagePolicy,
-        dist: &CompactIntervalDist,
+        table: &IntervalTable,
     ) -> (PolicyEvaluation, StallAccount) {
         let mut energy = 0.0;
         let mut baseline = 0.0;
         let mut fallbacks = 0;
         let mut stalls = StallAccount::default();
-        for (class, count) in dist.iter() {
+        for (class, count) in table.iter() {
+            let class = &class;
             let (per_interval, fell_back) = policy.interval_energy(self, class);
             energy += per_interval * count as f64;
             baseline += self.baseline_energy(class) * count as f64;

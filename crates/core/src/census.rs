@@ -8,7 +8,7 @@
 //! more important role in the data cache") is this census in prose.
 
 use crate::{EnergyContext, PowerMode};
-use leakage_intervals::CompactIntervalDist;
+use leakage_intervals::IntervalTable;
 use serde::{Deserialize, Serialize};
 
 /// Census counters for one operating mode.
@@ -43,7 +43,7 @@ pub struct ModeShare {
 ///     wake: WakeHints::NONE,
 ///     dirty: false,
 /// }, 10);
-/// let census = ModeCensus::compute(&ctx, &dist);
+/// let census = ModeCensus::compute(&ctx, &dist.freeze());
 /// assert_eq!(census.sleep.intervals, 10);
 /// assert!(census.cycle_fraction(leakage_core::PowerMode::Sleep) > 0.99);
 /// ```
@@ -58,13 +58,13 @@ pub struct ModeCensus {
 }
 
 impl ModeCensus {
-    /// Classifies every interval of `dist` with the context's optimal
+    /// Classifies every interval of `table` with the context's optimal
     /// mode and aggregates time and energy per mode.
-    pub fn compute(ctx: &EnergyContext, dist: &CompactIntervalDist) -> Self {
+    pub fn compute(ctx: &EnergyContext, table: &IntervalTable) -> Self {
         let mut census = ModeCensus::default();
-        for (class, count) in dist.iter() {
-            let mode = ctx.optimal_mode(class);
-            let energy = ctx.optimal_energy(class);
+        for (class, count) in table.iter() {
+            let mode = ctx.optimal_mode(&class);
+            let energy = ctx.optimal_energy(&class);
             let share = census.share_mut(mode);
             share.intervals += count;
             share.cycles += class.length * count;
@@ -142,7 +142,7 @@ impl std::fmt::Display for ModeCensus {
 mod tests {
     use super::*;
     use crate::{CircuitParams, RefetchAccounting, TechnologyNode};
-    use leakage_intervals::{IntervalClass, IntervalKind, WakeHints};
+    use leakage_intervals::{CompactIntervalDist, IntervalClass, IntervalKind, WakeHints};
 
     fn ctx() -> EnergyContext {
         EnergyContext::new(
@@ -167,7 +167,7 @@ mod tests {
         dist.add(class(3), 100); // active band
         dist.add(class(500), 50); // drowsy band
         dist.add(class(100_000), 7); // sleep band
-        let census = ModeCensus::compute(&ctx, &dist);
+        let census = ModeCensus::compute(&ctx, &dist.freeze());
         assert_eq!(census.active.intervals, 100);
         assert_eq!(census.drowsy.intervals, 50);
         assert_eq!(census.sleep.intervals, 7);
@@ -183,7 +183,7 @@ mod tests {
         let mut dist = CompactIntervalDist::new();
         dist.add(class(10), 5);
         dist.add(class(5_000), 5);
-        let census = ModeCensus::compute(&ctx, &dist);
+        let census = ModeCensus::compute(&ctx, &dist.freeze());
         let cycle_sum: f64 = PowerMode::ALL
             .iter()
             .map(|&m| census.cycle_fraction(m))
@@ -203,15 +203,16 @@ mod tests {
         dist.add(class(3), 10);
         dist.add(class(900), 10);
         dist.add(class(90_000), 10);
-        let census = ModeCensus::compute(&ctx, &dist);
-        let hybrid = ctx.evaluate(&crate::policy::OptHybrid::new(), &dist);
+        let table = dist.freeze();
+        let census = ModeCensus::compute(&ctx, &table);
+        let hybrid = ctx.evaluate(&crate::policy::OptHybrid::new(), &table);
         let total = census.active.energy + census.drowsy.energy + census.sleep.energy;
         assert!((total - hybrid.energy).abs() < 1e-9 * hybrid.energy.max(1.0));
     }
 
     #[test]
     fn empty_census_is_zero() {
-        let census = ModeCensus::compute(&ctx(), &CompactIntervalDist::new());
+        let census = ModeCensus::compute(&ctx(), &IntervalTable::default());
         assert_eq!(census.total_cycles(), 0);
         assert_eq!(census.cycle_fraction(PowerMode::Sleep), 0.0);
         assert!(census.to_string().contains("active"));

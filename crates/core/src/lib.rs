@@ -38,6 +38,7 @@
 
 mod accounting;
 mod census;
+pub mod closed_form;
 pub mod envelope;
 mod model;
 pub mod perf;
@@ -45,6 +46,7 @@ pub mod policy;
 
 pub use accounting::{EnergyContext, PolicyEvaluation, RefetchAccounting};
 pub use census::{ModeCensus, ModeShare};
+pub use closed_form::{ModeLine, OptFamily};
 pub use model::{GeneralizedModel, OptimalSavings};
 pub use perf::{Stall, StallAccount};
 pub use policy::{LeakagePolicy, PolicyBank};
@@ -56,5 +58,6 @@ pub use leakage_energy::{
     PowerMode, TechnologyNode, TransitionModel,
 };
 pub use leakage_intervals::{
-    CompactIntervalDist, Interval, IntervalClass, IntervalKind, WakeHints,
+    ClassCategory, CompactIntervalDist, Interval, IntervalClass, IntervalKind, IntervalTable,
+    WakeHints,
 };

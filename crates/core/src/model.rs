@@ -1,9 +1,9 @@
 //! The generalized optimal-savings model of Fig. 6.
 
-use crate::policy::{OptDrowsy, OptHybrid, OptSleep};
+use crate::closed_form::OptFamily;
 use crate::{EnergyContext, PowerMode, RefetchAccounting};
 use leakage_energy::{CircuitParams, Energy, InflectionPoints};
-use leakage_intervals::CompactIntervalDist;
+use leakage_intervals::IntervalTable;
 use serde::{Deserialize, Serialize};
 
 /// Output of the generalized model: the optimal leakage saving
@@ -129,13 +129,15 @@ impl GeneralizedModel {
     }
 
     /// Runs the model: optimal savings of the three technique families
-    /// over the given interval distribution (one Table 2 cell group).
-    pub fn optimal_savings(&self, dist: &CompactIntervalDist) -> OptimalSavings {
+    /// over the given interval table (one Table 2 cell group), in
+    /// closed form (see [`crate::closed_form`]).
+    pub fn optimal_savings(&self, table: &IntervalTable) -> OptimalSavings {
         let b = self.ctx.inflection_points().drowsy_sleep;
+        let saving = |family| self.ctx.evaluate_opt(family, table).saving_percent();
         OptimalSavings {
-            opt_drowsy: self.ctx.evaluate(&OptDrowsy, dist).saving_percent(),
-            opt_sleep: self.ctx.evaluate(&OptSleep::new(b), dist).saving_percent(),
-            opt_hybrid: self.ctx.evaluate(&OptHybrid::new(), dist).saving_percent(),
+            opt_drowsy: saving(OptFamily::Drowsy),
+            opt_sleep: saving(OptFamily::Sleep { threshold: b }),
+            opt_hybrid: saving(OptFamily::Hybrid),
         }
     }
 }
@@ -150,8 +152,8 @@ mod tests {
         GeneralizedModel::from_params(CircuitParams::for_node(TechnologyNode::N70))
     }
 
-    fn dist(entries: &[(u64, u64)]) -> CompactIntervalDist {
-        let mut d = CompactIntervalDist::new();
+    fn dist(entries: &[(u64, u64)]) -> IntervalTable {
+        let mut d = leakage_intervals::CompactIntervalDist::new();
         for &(length, count) in entries {
             d.add(
                 IntervalClass {
@@ -163,7 +165,7 @@ mod tests {
                 count,
             );
         }
-        d
+        d.freeze()
     }
 
     #[test]

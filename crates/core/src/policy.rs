@@ -50,7 +50,7 @@ pub trait LeakagePolicy: Send + Sync {
 }
 
 /// Is this interval's frame invalid (holding no program data)?
-fn frame_invalid(class: &IntervalClass) -> bool {
+pub(crate) fn frame_invalid(class: &IntervalClass) -> bool {
     matches!(
         class.kind,
         IntervalKind::Leading | IntervalKind::Untouched
@@ -681,7 +681,7 @@ impl LeakagePolicy for DrowsyDecay {
 ///
 /// ```
 /// use leakage_core::policy::{OptDrowsy, OptHybrid, PolicyBank};
-/// use leakage_core::{CircuitParams, CompactIntervalDist, EnergyContext, RefetchAccounting};
+/// use leakage_core::{CircuitParams, EnergyContext, IntervalTable, RefetchAccounting};
 /// use leakage_energy::TechnologyNode;
 ///
 /// let mut bank = PolicyBank::new();
@@ -691,7 +691,7 @@ impl LeakagePolicy for DrowsyDecay {
 ///     CircuitParams::for_node(TechnologyNode::N70),
 ///     RefetchAccounting::PaperStrict,
 /// );
-/// let results = bank.evaluate(&ctx, &CompactIntervalDist::new());
+/// let results = bank.evaluate(&ctx, &IntervalTable::default());
 /// assert_eq!(results.len(), 2);
 /// ```
 #[derive(Default)]
@@ -715,16 +715,16 @@ impl PolicyBank {
         &self.policies
     }
 
-    /// Evaluates every policy over `dist`, returning `(name, result)`
+    /// Evaluates every policy over `table`, returning `(name, result)`
     /// pairs in insertion order.
     pub fn evaluate(
         &self,
         ctx: &EnergyContext,
-        dist: &crate::CompactIntervalDist,
+        table: &crate::IntervalTable,
     ) -> Vec<(String, crate::PolicyEvaluation)> {
         self.policies
             .iter()
-            .map(|p| (p.name().to_string(), ctx.evaluate(p.as_ref(), dist)))
+            .map(|p| (p.name().to_string(), ctx.evaluate(p.as_ref(), table)))
             .collect()
     }
 }
@@ -742,7 +742,7 @@ mod tests {
     use super::*;
     use crate::{RefetchAccounting, WakeHints};
     use leakage_energy::{CircuitParams, TechnologyNode};
-    use leakage_intervals::CompactIntervalDist;
+    use leakage_intervals::{CompactIntervalDist, IntervalTable};
 
     fn ctx() -> EnergyContext {
         EnergyContext::new(
@@ -770,12 +770,12 @@ mod tests {
         }
     }
 
-    fn dist_of(classes: &[(IntervalClass, u64)]) -> CompactIntervalDist {
+    fn dist_of(classes: &[(IntervalClass, u64)]) -> IntervalTable {
         let mut d = CompactIntervalDist::new();
         for &(c, n) in classes {
             d.add(c, n);
         }
-        d
+        d.freeze()
     }
 
     #[test]

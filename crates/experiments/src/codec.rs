@@ -4,12 +4,13 @@
 //! memoized profiles on disk through this codec. Two properties matter
 //! more than speed here:
 //!
-//! * **Canonical output.** A [`CompactIntervalDist`] is a hash map, so
-//!   its iteration order varies run to run (and across the serial /
-//!   parallel / memoized profiling paths). The encoder sorts classes
-//!   into a total order first, so equal profiles encode to *identical
-//!   bytes* — the determinism regression tests compare encodings
-//!   directly.
+//! * **Canonical output.** Classes are written in one total order,
+//!   `(length, kind, wake, dirty)`, so equal profiles encode to
+//!   *identical bytes* — the determinism regression tests compare
+//!   encodings directly. Decoding fills an [`IntervalTable`] straight
+//!   from that order (each category's lengths arrive ascending), with
+//!   no intermediate map, and rejects a body whose classes are out of
+//!   that order or repeated.
 //! * **Versioned format.** [`FORMAT_VERSION`] is checked on decode and
 //!   mixed into store keys, so a layout change invalidates stale files
 //!   instead of misreading them.
@@ -24,7 +25,7 @@
 use crate::{BenchmarkProfile, CacheProfile};
 use leakage_cachesim::CacheStats;
 use leakage_faults::checksum::fnv1a;
-use leakage_intervals::{CompactIntervalDist, IntervalClass, IntervalKind, WakeHints};
+use leakage_intervals::{ClassCategory, IntervalTable, TableBuilder, TableError};
 use leakage_prefetch::PrefetchStats;
 
 /// File magic: "LKPF" (leakage profile).
@@ -56,6 +57,9 @@ pub enum CodecError {
     BadName,
     /// Trailing bytes followed a complete profile.
     TrailingBytes,
+    /// The interval classes were out of canonical order, repeated, or
+    /// overflowed the table's 64-bit running sums.
+    BadTable(TableError),
     /// The integrity footer did not match the body — a torn write or
     /// bit flip.
     ChecksumMismatch {
@@ -77,6 +81,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(tag) => write!(f, "invalid enum tag {tag}"),
             CodecError::BadName => write!(f, "benchmark name is not UTF-8"),
             CodecError::TrailingBytes => write!(f, "trailing bytes after profile"),
+            CodecError::BadTable(err) => write!(f, "bad interval table: {err}"),
             CodecError::ChecksumMismatch { expected, found } => write!(
                 f,
                 "checksum mismatch: body hashes to {expected:016x}, footer says {found:016x}"
@@ -187,80 +192,70 @@ fn decode_cache(r: &mut Reader<'_>) -> Result<CacheProfile, CodecError> {
     })
 }
 
-fn encode_dist(out: &mut Vec<u8>, dist: &CompactIntervalDist) {
-    let mut classes: Vec<(&IntervalClass, u64)> = dist.iter().collect();
-    classes.sort_by_key(|(class, _)| class_order(class));
-    put_u64(out, classes.len() as u64);
-    for (class, count) in classes {
-        put_u64(out, class.length);
-        out.push(kind_tag(class.kind));
-        out.push(wake_bits(class.wake));
-        out.push(u8::from(class.dirty));
-        put_u64(out, count);
+/// Writes the table's classes in canonical `(length, kind, wake,
+/// dirty)` order by merging its length-sorted category runs. The runs
+/// come in [`ClassCategory::code`] order, which the wire tags spell out
+/// digit by digit (see [`category_tags`]), so the first run holding the
+/// shortest head length holds the next class.
+fn encode_dist(out: &mut Vec<u8>, table: &IntervalTable) {
+    put_u64(out, table.num_classes() as u64);
+    let runs: Vec<_> = table.categories().collect();
+    let mut heads = vec![0; runs.len()];
+    loop {
+        let mut next: Option<(usize, u64)> = None;
+        for (r, run) in runs.iter().enumerate() {
+            if let Some(&length) = run.lengths().get(heads[r]) {
+                if next.is_none_or(|(_, shortest)| length < shortest) {
+                    next = Some((r, length));
+                }
+            }
+        }
+        let Some((r, length)) = next else { break };
+        put_u64(out, length);
+        out.extend_from_slice(&category_tags(runs[r].category()));
+        put_u64(out, runs[r].count(heads[r]));
+        heads[r] += 1;
     }
 }
 
-fn decode_dist(r: &mut Reader<'_>) -> Result<CompactIntervalDist, CodecError> {
+fn decode_dist(r: &mut Reader<'_>) -> Result<IntervalTable, CodecError> {
     let num_classes = r.u64()?;
-    let mut dist = CompactIntervalDist::new();
+    let mut table = TableBuilder::new();
+    let mut last: Option<(u64, usize)> = None;
     for _ in 0..num_classes {
         let length = r.u64()?;
-        let kind = kind_from_tag(r.u8()?)?;
-        let wake = wake_from_bits(r.u8()?)?;
-        let dirty = match r.u8()? {
-            0 => false,
-            1 => true,
-            tag => return Err(CodecError::BadTag(tag)),
-        };
+        let category = category_from_tags([r.u8()?, r.u8()?, r.u8()?])?;
         let count = r.u64()?;
-        dist.add(IntervalClass { length, kind, wake, dirty }, count);
+        // The builder only sees the order within a category; the file
+        // order across categories is checked here.
+        let key = (length, category.code());
+        if last.is_some_and(|last| last >= key) {
+            return Err(CodecError::BadTable(TableError::NotCanonical));
+        }
+        last = Some(key);
+        table
+            .push(category.class(length), count)
+            .map_err(CodecError::BadTable)?;
     }
-    Ok(dist)
+    table.finish().map_err(CodecError::BadTable)
 }
 
-/// The canonical total order on classes: `(length, kind, wake, dirty)`.
-fn class_order(class: &IntervalClass) -> (u64, u8, u8, bool) {
-    (
-        class.length,
-        kind_tag(class.kind),
-        wake_bits(class.wake),
-        class.dirty,
-    )
+/// The wire tags `(kind, wake, dirty)` of a category: the digits of its
+/// [`ClassCategory::code`] (`kind * 8 + wake * 2 + dirty`), so the file
+/// order and the table order are one order.
+fn category_tags(category: ClassCategory) -> [u8; 3] {
+    let code = category.code() as u8;
+    [code / 8, code % 8 / 2, code % 2]
 }
 
-fn kind_tag(kind: IntervalKind) -> u8 {
-    match kind {
-        IntervalKind::Interior { reaccess: false } => 0,
-        IntervalKind::Interior { reaccess: true } => 1,
-        IntervalKind::Leading => 2,
-        IntervalKind::Trailing => 3,
-        IntervalKind::Untouched => 4,
+fn category_from_tags([kind, wake, dirty]: [u8; 3]) -> Result<ClassCategory, CodecError> {
+    for (tag, limit) in [(kind, 5), (wake, 4), (dirty, 2)] {
+        if tag >= limit {
+            return Err(CodecError::BadTag(tag));
+        }
     }
-}
-
-fn kind_from_tag(tag: u8) -> Result<IntervalKind, CodecError> {
-    Ok(match tag {
-        0 => IntervalKind::Interior { reaccess: false },
-        1 => IntervalKind::Interior { reaccess: true },
-        2 => IntervalKind::Leading,
-        3 => IntervalKind::Trailing,
-        4 => IntervalKind::Untouched,
-        _ => return Err(CodecError::BadTag(tag)),
-    })
-}
-
-fn wake_bits(wake: WakeHints) -> u8 {
-    u8::from(wake.next_line) | (u8::from(wake.stride) << 1)
-}
-
-fn wake_from_bits(bits: u8) -> Result<WakeHints, CodecError> {
-    if bits > 3 {
-        return Err(CodecError::BadTag(bits));
-    }
-    Ok(WakeHints {
-        next_line: bits & 1 != 0,
-        stride: bits & 2 != 0,
-    })
+    let code = usize::from(kind) * 8 + usize::from(wake) * 2 + usize::from(dirty);
+    Ok(ClassCategory::from_code(code))
 }
 
 fn put_u32(out: &mut Vec<u8>, value: u32) {
@@ -303,6 +298,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leakage_intervals::{CompactIntervalDist, IntervalClass, IntervalKind, WakeHints};
 
     fn sample_profile() -> BenchmarkProfile {
         let mut dist = CompactIntervalDist::new();
@@ -325,7 +321,7 @@ mod tests {
             3,
         );
         let cache = CacheProfile {
-            dist,
+            dist: dist.freeze(),
             num_frames: 1024,
             total_cycles: 200_000,
             prefetch: PrefetchStats { next_line_triggers: 11, stride_triggers: 2 },
@@ -362,15 +358,69 @@ mod tests {
     fn encoding_is_insertion_order_independent() {
         let profile = sample_profile();
         let mut reordered = profile.clone();
-        // Rebuild the icache dist inserting classes in reverse order.
-        let mut classes: Vec<_> = profile.icache.dist.iter().map(|(c, n)| (*c, n)).collect();
+        // Rebuild the icache table inserting classes in reverse order.
+        let mut classes: Vec<_> = profile.icache.dist.iter().collect();
         classes.reverse();
         let mut dist = CompactIntervalDist::new();
         for (class, count) in classes {
             dist.add(class, count);
         }
-        reordered.icache.dist = dist;
+        reordered.icache.dist = dist.freeze();
         assert_eq!(encode_profile(&profile), encode_profile(&reordered));
+    }
+
+    /// Encodes an icache holding one interval each of `classes`, sets
+    /// the length of the record of `(length, kind)` to `new_length`
+    /// under a fresh footer, and returns the decoder's error, if any.
+    fn decode_rewritten(
+        classes: [(u64, IntervalKind); 2],
+        (length, kind): (u64, IntervalKind),
+        new_length: u64,
+    ) -> Option<CodecError> {
+        let class = |length, kind| IntervalClass {
+            length,
+            kind,
+            wake: WakeHints::NONE,
+            dirty: false,
+        };
+        let mut profile = sample_profile();
+        let mut dist = CompactIntervalDist::new();
+        for (length, kind) in classes {
+            dist.add(class(length, kind), 1);
+        }
+        profile.icache.dist = dist.freeze();
+        let mut bytes = encode_profile(&profile);
+        bytes.truncate(bytes.len() - FOOTER_BYTES);
+        // Each class record is 19 bytes, led by its u64 length.
+        let tags = category_tags(ClassCategory::from(&class(length, kind)));
+        let needle = [length.to_le_bytes().as_slice(), &tags, &1u64.to_le_bytes()].concat();
+        let at = bytes
+            .windows(needle.len())
+            .position(|w| w == needle.as_slice())
+            .expect("class record");
+        bytes[at..at + 8].copy_from_slice(&new_length.to_le_bytes());
+        let digest = fnv1a(&bytes);
+        put_u64(&mut bytes, digest);
+        decode_profile(&bytes).err()
+    }
+
+    /// Classes repeated, out of order within a category, or out of the
+    /// `(length, category)` order across categories are all refused.
+    #[test]
+    fn out_of_order_classes_are_rejected() {
+        use IntervalKind::{Leading, Trailing};
+        let refused = Some(CodecError::BadTable(TableError::NotCanonical));
+        let same = [(10, Trailing), (20, Trailing)];
+        assert_eq!(decode_rewritten(same, (10, Trailing), 10), None);
+        assert_eq!(decode_rewritten(same, (10, Trailing), 20), refused);
+        assert_eq!(decode_rewritten(same, (10, Trailing), 30), refused);
+        // (10, Trailing) then (5, Leading): each category is sorted on
+        // its own, the file order is not.
+        let across = [(10, Trailing), (20, Leading)];
+        assert_eq!(decode_rewritten(across, (20, Leading), 5), refused);
+        // A length tie orders by category: Leading sorts before Trailing.
+        assert_eq!(decode_rewritten(across, (20, Leading), 10), refused);
+        assert_eq!(decode_rewritten(across, (20, Leading), 11), None);
     }
 
     #[test]

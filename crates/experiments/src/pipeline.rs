@@ -3,7 +3,7 @@
 use crate::store::ProfileStore;
 use leakage_cachesim::{CacheStats, Hierarchy, HierarchyConfig, Level1};
 use leakage_faults::{panic_message, PipelineError};
-use leakage_intervals::{CompactIntervalDist, IntervalExtractor, WakeHints};
+use leakage_intervals::{CompactIntervalDist, IntervalExtractor, IntervalTable, WakeHints};
 use leakage_prefetch::{PrefetchAnalyzer, PrefetchStats, WakeTrigger};
 use leakage_trace::{Cycle, LineAddr, MemoryAccess, TraceSink, TraceSource};
 use leakage_workloads::{suite, Benchmark, Scale, SUITE_NAMES};
@@ -17,8 +17,9 @@ use std::sync::Arc;
 /// for every policy) plus bookkeeping counters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CacheProfile {
-    /// Interval distribution, by (length, kind, wake-hints) class.
-    pub dist: CompactIntervalDist,
+    /// Interval distribution by (length, kind, wake-hints, dirty)
+    /// class, frozen into the read-only table analyses evaluate.
+    pub dist: IntervalTable,
     /// Number of frames in the cache.
     pub num_frames: u32,
     /// Trace length in cycles.
@@ -64,6 +65,16 @@ struct SideState {
     analyzer: PrefetchAnalyzer,
     dist: CompactIntervalDist,
     predictions: PredictionTable,
+}
+
+impl SideState {
+    /// Closes the intervals still open at `end` and returns the
+    /// distribution and prefetch counters; the extractor, analyzer and
+    /// prediction table are dropped here.
+    fn finish(mut self, end: Cycle) -> (CompactIntervalDist, PrefetchStats) {
+        self.extractor.finish(end, &mut self.dist);
+        (self.dist, self.analyzer.stats())
+    }
 }
 
 /// Outstanding prefetch predictions for non-resident lines, so that when
@@ -224,37 +235,40 @@ pub fn profile_benchmark_with(bench: &mut Benchmark, config: HierarchyConfig) ->
     let end = sink.end;
     let PipelineSink {
         hierarchy,
-        mut icache,
-        mut dcache,
+        icache,
+        dcache,
         ..
     } = sink;
-    {
+    let ((idist, iprefetch), (ddist, dprefetch)) = {
         let _span = leakage_telemetry::span("extract");
-        icache.extractor.finish(end, &mut icache.dist);
-        dcache.extractor.finish(end, &mut dcache.dist);
-    }
+        (icache.finish(end), dcache.finish(end))
+    };
     hierarchy.flush_telemetry();
     // Peak interval-set cardinality across every profiled cache — the
     // memory high-water mark of the sufficient statistic.
     let gauge = leakage_telemetry::gauge!("intervals_peak_classes");
-    gauge.set_max(icache.dist.num_classes() as u64);
-    gauge.set_max(dcache.dist.num_classes() as u64);
+    gauge.set_max(idist.num_classes() as u64);
+    gauge.set_max(ddist.num_classes() as u64);
 
+    // Free the simulation state before freezing, so the tables reuse
+    // its memory instead of raising the peak footprint.
+    let (l1i, l1d) = (*hierarchy.l1i().stats(), *hierarchy.l1d().stats());
+    drop(hierarchy);
     BenchmarkProfile {
         name: bench.name().to_string(),
         icache: CacheProfile {
-            dist: icache.dist,
+            dist: idist.freeze(),
             num_frames: config.l1i.num_frames(),
             total_cycles: end.raw(),
-            prefetch: icache.analyzer.stats(),
-            cache: *hierarchy.l1i().stats(),
+            prefetch: iprefetch,
+            cache: l1i,
         },
         dcache: CacheProfile {
-            dist: dcache.dist,
+            dist: ddist.freeze(),
             num_frames: config.l1d.num_frames(),
             total_cycles: end.raw(),
-            prefetch: dcache.analyzer.stats(),
-            cache: *hierarchy.l1d().stats(),
+            prefetch: dprefetch,
+            cache: l1d,
         },
     }
 }
@@ -300,7 +314,7 @@ pub fn profile_l2(bench: &mut Benchmark) -> CacheProfile {
     let end = sink.end;
     sink.extractor.finish(end, &mut sink.dist);
     CacheProfile {
-        dist: sink.dist,
+        dist: sink.dist.freeze(),
         num_frames: config.l2.num_frames(),
         total_cycles: end.raw(),
         prefetch: PrefetchStats::default(),
@@ -310,13 +324,11 @@ pub fn profile_l2(bench: &mut Benchmark) -> CacheProfile {
 
 /// Extracts *line-centric* interval distributions (the paper's literal
 /// §3.1 definition: per memory line, residency ignored) for both L1
-/// line granularities. Returns `(icache_dist, dcache_dist, cycles)`.
+/// line granularities. Returns `(icache_table, dcache_table, cycles)`.
 ///
 /// Used by the `ablation-line-centric` experiment to quantify how much
 /// the frame-vs-line modelling choice moves the limits.
-pub fn profile_line_centric(
-    bench: &mut Benchmark,
-) -> (CompactIntervalDist, CompactIntervalDist, u64) {
+pub fn profile_line_centric(bench: &mut Benchmark) -> (IntervalTable, IntervalTable, u64) {
     use leakage_intervals::LineCentricExtractor;
 
     struct LineSink {
@@ -351,7 +363,7 @@ pub fn profile_line_centric(
     let end = sink.end;
     sink.icache.finish(end, &mut sink.idist);
     sink.dcache.finish(end, &mut sink.ddist);
-    (sink.idist, sink.ddist, end.raw())
+    (sink.idist.freeze(), sink.ddist.freeze(), end.raw())
 }
 
 /// Profiles the whole six-benchmark suite at the given scale —

@@ -1,6 +1,6 @@
 //! Compact interval distributions.
 
-use crate::{Interval, IntervalKind, IntervalSink, WakeHints};
+use crate::{ClassCategory, Interval, IntervalKind, IntervalSink, IntervalTable, WakeHints};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -169,27 +169,39 @@ impl CompactIntervalDist {
         self.classes.iter().map(|(class, &count)| (class, count))
     }
 
-    /// Merges another distribution into this one.
-    pub fn merge(&mut self, other: &CompactIntervalDist) {
-        for (class, count) in other.iter() {
-            self.add(*class, count);
+    /// Freezes the distribution into the read-only [`IntervalTable`]
+    /// that analyses evaluate. The table depends only on the multiset,
+    /// not on the map's insertion history.
+    ///
+    /// Freezing allocates nothing but the table: lengths are placed by
+    /// a counting sort on category and sorted within each, then each
+    /// class's count is looked up in the map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interval count or the cycle mass overflows `u64`.
+    pub fn freeze(self) -> IntervalTable {
+        let mut starts = [0usize; ClassCategory::COUNT + 1];
+        for class in self.classes.keys() {
+            starts[ClassCategory::from(class).code() + 1] += 1;
         }
-    }
-
-    /// Total intervals matching a predicate.
-    pub fn count_matching(&self, mut pred: impl FnMut(&IntervalClass) -> bool) -> u64 {
-        self.iter()
-            .filter(|(class, _)| pred(class))
-            .map(|(_, count)| count)
-            .sum()
-    }
-
-    /// Total cycle mass of intervals matching a predicate.
-    pub fn cycles_matching(&self, mut pred: impl FnMut(&IntervalClass) -> bool) -> u64 {
-        self.iter()
-            .filter(|(class, _)| pred(class))
-            .map(|(class, count)| class.length * count)
-            .sum()
+        for code in 0..ClassCategory::COUNT {
+            starts[code + 1] += starts[code];
+        }
+        let mut next = starts;
+        let mut lengths = vec![0; self.classes.len()];
+        for class in self.classes.keys() {
+            let slot = &mut next[ClassCategory::from(class).code()];
+            lengths[*slot] = class.length;
+            *slot += 1;
+        }
+        for code in 0..ClassCategory::COUNT {
+            lengths[starts[code]..starts[code + 1]].sort_unstable();
+        }
+        IntervalTable::from_sorted(starts, lengths, |category, length| {
+            self.classes[&category.class(length)]
+        })
+        .expect("interval cycle mass fits in u64")
     }
 }
 
@@ -233,12 +245,7 @@ mod tests {
 
     #[test]
     fn class_hasher_is_deterministic_and_spreads() {
-        use std::hash::{BuildHasher, Hash};
-        let hash_of = |c: &IntervalClass| {
-            let mut hasher = ClassHashBuilder.build_hasher();
-            c.hash(&mut hasher);
-            hasher.finish()
-        };
+        let hash_of = |c: &IntervalClass| ClassHashBuilder.hash_one(c);
         assert_eq!(hash_of(&class(100)), hash_of(&class(100)));
         // Adjacent lengths must not collide (they are the common case).
         let hashes: std::collections::HashSet<u64> =
@@ -282,13 +289,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_extend() {
+    fn extend_accumulates() {
         let mut a = CompactIntervalDist::new();
         a.add(class(1), 1);
-        let mut b = CompactIntervalDist::new();
-        b.add(class(1), 2);
-        b.add(class(2), 3);
-        a.merge(&b);
+        a.extend([(class(1), 2), (class(2), 3)]);
+        assert_eq!(a.num_classes(), 2);
         assert_eq!(a.total_intervals(), 6);
 
         let mut c = CompactIntervalDist::new();
@@ -301,8 +306,9 @@ mod tests {
         let mut dist = CompactIntervalDist::new();
         dist.add(class(5), 4);
         dist.add(class(50), 2);
-        assert_eq!(dist.count_matching(|c| c.length > 10), 2);
-        assert_eq!(dist.cycles_matching(|c| c.length <= 10), 20);
+        let table = dist.freeze();
+        assert_eq!(table.count_matching(|c| c.length > 10), 2);
+        assert_eq!(table.cycles_matching(|c| c.length <= 10), 20);
     }
 
     #[test]

@@ -246,13 +246,13 @@ impl WorkerFrame {
                 .filter(|v| v.fract() == 0.0 && *v >= 0.0)
                 .map(|v| v as u64)
         };
-        if let Some(pid) = doc.get("ready").and_then(|f| int(f)) {
+        if let Some(pid) = doc.get("ready").and_then(int) {
             return Ok(WorkerFrame::Ready(pid as u32));
         }
-        if let Some(seq) = doc.get("hb").and_then(|f| int(f)) {
+        if let Some(seq) = doc.get("hb").and_then(int) {
             return Ok(WorkerFrame::Heartbeat(seq));
         }
-        if let Some(chunk) = doc.get("chunk_end").and_then(|f| int(f)) {
+        if let Some(chunk) = doc.get("chunk_end").and_then(int) {
             let fnv1a = doc
                 .get("fnv1a")
                 .and_then(Json::as_str)
@@ -261,7 +261,7 @@ impl WorkerFrame {
                 .ok_or_else(|| bad_frame(line, "bad \"fnv1a\""))?;
             return Ok(WorkerFrame::ChunkEnd { chunk, fnv1a });
         }
-        if let Some(chunk) = doc.get("chunk_err").and_then(|f| int(f)) {
+        if let Some(chunk) = doc.get("chunk_err").and_then(int) {
             let error = doc
                 .get("error")
                 .and_then(Json::as_str)
@@ -269,10 +269,10 @@ impl WorkerFrame {
                 .to_string();
             return Ok(WorkerFrame::ChunkErr { chunk, error });
         }
-        if let Some(chunk) = doc.get("chunk").and_then(|f| int(f)) {
+        if let Some(chunk) = doc.get("chunk").and_then(int) {
             let points = doc
                 .get("points")
-                .and_then(|f| int(f))
+                .and_then(int)
                 .ok_or_else(|| bad_frame(line, "bad \"points\""))?;
             return Ok(WorkerFrame::ChunkStart { chunk, points });
         }
@@ -471,7 +471,7 @@ mod tests {
         let mut hash = Fnv64::new();
         hash.update(b"{\"a\":1}\n{\"b\":2}\n");
         assert_eq!(rows_checksum(&rows), hash.finish());
-        assert_ne!(rows_checksum(&rows), rows_checksum(&rows[..1].to_vec()));
+        assert_ne!(rows_checksum(&rows), rows_checksum(&rows[..1]));
     }
 
     #[test]

@@ -286,7 +286,7 @@ impl RemoteGate {
         let handle = std::thread::Builder::new()
             .name("job-listener".into())
             .spawn(move || accept_gate.accept_loop(listener))
-            .map_err(|err| io::Error::new(io::ErrorKind::Other, err))?;
+            .map_err(io::Error::other)?;
         *gate.accept.lock().unwrap_or_else(PoisonError::into_inner) = Some(handle);
         Ok(gate)
     }

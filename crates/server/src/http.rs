@@ -515,14 +515,10 @@ impl ChunkedDecoder {
                     self.state = ChunkState::Size;
                 }
                 ChunkState::Trailer => match self.take_line(buf, &mut i)? {
-                    None => {}
-                    Some(line) => {
-                        if line.is_empty() {
-                            self.state = ChunkState::Done;
-                        }
-                        // Non-empty trailer fields are consumed and
-                        // ignored (this server solicits none).
-                    }
+                    Some(line) if line.is_empty() => self.state = ChunkState::Done,
+                    // Non-empty trailer fields are consumed and ignored
+                    // (this server solicits none).
+                    _ => {}
                 },
             }
         }

@@ -263,7 +263,7 @@ fn drive_closing(config: &LoadgenConfig, offset: usize, deadline: Instant) -> Th
 fn sample_trace_id(offset: usize, sent: &mut u64) -> Option<u64> {
     let n = *sent;
     *sent += 1;
-    if n % TIMING_SAMPLE_EVERY == 0 {
+    if n.is_multiple_of(TIMING_SAMPLE_EVERY) {
         Some(((offset as u64 + 1) << 40) | (n + 1))
     } else {
         None
@@ -318,12 +318,12 @@ fn drive_keepalive(config: &LoadgenConfig, offset: usize, deadline: Instant) -> 
             continue;
         }
         let mut server_closed = false;
-        for answered in 0..batch {
+        for (answered, target) in targets.iter().enumerate().take(batch) {
             match conn.recv() {
                 Ok(response) => {
                     let micros = u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX);
                     stats.count(response.status, micros);
-                    if targets[answered].1.is_some() {
+                    if target.1.is_some() {
                         if let Some(timing) = response.header("server-timing") {
                             parse_server_timing(timing, &mut stats.stage_us);
                         }

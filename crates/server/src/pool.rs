@@ -796,11 +796,13 @@ pub fn work_requests(
             // A chunked upload's body is still on the wire behind the
             // header block. Flush the responses batched so far, then
             // hand the socket to the streaming upload path — it reads
-            // the body incrementally and writes its own response.
+            // the body incrementally and writes its own response, with
+            // `Connection: close` when the connection's fate is already
+            // sealed (client asked, budget spent, draining). A peer the
+            // flush just failed to reach gets no upload served.
             // Exclusive connection ownership (reactor ONESHOT /
             // per-worker connections) makes the blocking reads safe.
-            flush_batch(&mut conn, ctx, worker_config);
-            if !conn.close {
+            if flush_batch(&mut conn, ctx, worker_config) {
                 conn = crate::streaming::serve_upload(conn, &request, ctx, worker_config);
             }
             answered += 1;
@@ -834,7 +836,7 @@ pub fn work_requests(
         // half-closed with nothing left buffered, or we are draining.
         let keep_alive = !conn.close
             && !worker_config.stop.load(Ordering::Relaxed)
-            && !(conn.eof && !conn.has_buffered_request());
+            && (!conn.eof || conn.has_buffered_request());
         if recorder.is_some() {
             let trace = request.trace;
             let queue_us = us32(started.saturating_duration_since(trace.parsed_at));
@@ -918,15 +920,18 @@ pub fn work_requests(
     conn
 }
 
-/// Writes the batch buffer (one write per pipelined batch) and stamps
-/// + publishes its pending flight-recorder records. Sets `conn.close`
+/// Writes the batch buffer (one write per pipelined batch), then stamps
+/// and publishes its pending flight-recorder records. Sets `conn.close`
 /// on a transport failure. No-op when nothing is serialized.
-fn flush_batch(conn: &mut Connection, ctx: &RouteContext, worker_config: &WorkerConfig) {
+///
+/// Returns `false` iff the write failed.
+fn flush_batch(conn: &mut Connection, ctx: &RouteContext, worker_config: &WorkerConfig) -> bool {
     if conn.out.is_empty() {
-        return;
+        return true;
     }
     let write_started = Instant::now();
-    if flush_output(conn, worker_config).is_err() {
+    let wrote = flush_output(conn, worker_config).is_ok();
+    if !wrote {
         ctx.metrics.transport_errors.inc();
         conn.close = true;
     }
@@ -948,6 +953,7 @@ fn flush_batch(conn: &mut Connection, ctx: &RouteContext, worker_config: &Worker
             recorder.record(&record);
         }
     }
+    wrote
 }
 
 /// Writes the batched output buffer, toggling a reactor-owned socket
@@ -996,6 +1002,44 @@ mod tests {
         assert_eq!(config.recorder_cap, 0, "0 = env/default capacity");
         #[cfg(target_os = "linux")]
         assert_eq!(config.transport, Transport::Reactor);
+    }
+
+    /// A chunked upload behind a batch whose write failed is not
+    /// served: its body stays unread on the socket. (The client-asked
+    /// `Connection: close` case is covered end to end in
+    /// `tests/trace_streaming.rs`.)
+    #[test]
+    fn failed_flush_skips_the_chunked_upload() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        // Every write from the server side now fails.
+        stream.shutdown(std::net::Shutdown::Write).expect("shutdown");
+        let body = b"5\r\nhello\r\n0\r\n\r\n";
+        client.write_all(body).expect("client sends the chunked body");
+        let mut conn = Connection::new(stream, 0);
+        let mut peeked = [0u8; 1];
+        conn.stream.peek(&mut peeked).expect("body arrived");
+        conn.buf = b"GET /healthz HTTP/1.1\r\n\r\n\
+            POST /v1/trace/intervals HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            .to_vec();
+        let Taken::Request(first) = conn.take_request(0) else {
+            panic!("the GET parses");
+        };
+        let worker_config = WorkerConfig {
+            max_requests_per_connection: 0,
+            pipeline_batch: 8,
+            request_timeout: Duration::from_secs(5),
+            nonblocking: false,
+            stop: Arc::new(AtomicBool::new(false)),
+        };
+        let ctx = crate::routes::tests::ctx();
+        let mut conn = work_requests(conn, first, &ctx, &worker_config);
+        assert!(conn.close, "a failed write closes the connection");
+        conn.stream.set_nonblocking(true).expect("nonblocking");
+        let mut unread = Vec::new();
+        let _ = conn.stream.read_to_end(&mut unread);
+        assert_eq!(unread, body, "the upload body was never read");
     }
 
     #[test]

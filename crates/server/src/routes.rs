@@ -561,7 +561,7 @@ fn debug_requests(request: &Request, recorder: &FlightRecorder) -> Response {
     let records: Vec<RequestRecord> = recorder
         .recent(recorder.capacity())
         .into_iter()
-        .filter(|rec| route_filter.map_or(true, |code| rec.route == code))
+        .filter(|rec| route_filter.is_none_or(|code| rec.route == code))
         .filter(|rec| rec.total_us >= min_us)
         .take(n)
         .collect();
@@ -1030,7 +1030,7 @@ fn sweep(request: &Request, ctx: &RouteContext, stage: &StageTrace) -> Response 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn test_fabric() -> Arc<JobFabric> {
@@ -1074,7 +1074,7 @@ mod tests {
     }
 
     /// Catalog off, so tests exercise the LRU-cache tier.
-    fn ctx() -> RouteContext {
+    pub(crate) fn ctx() -> RouteContext {
         ctx_with_catalog(false)
     }
 

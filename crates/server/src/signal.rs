@@ -67,7 +67,6 @@ mod tests {
     #[test]
     fn flag_reflects_requests() {
         install_shutdown_handler();
-        assert!(!shutdown_requested() || true, "flag readable");
         request_shutdown();
         assert!(shutdown_requested());
     }

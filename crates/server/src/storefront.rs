@@ -19,6 +19,9 @@ use leakage_workloads::Scale;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
+/// One stripe: benchmark name → `(cycles, profile)` per cached scale.
+type Stripe = Mutex<HashMap<String, Vec<(u64, Arc<BenchmarkProfile>)>>>;
+
 /// Striped read-through cache of `(benchmark, scale)` → profile.
 ///
 /// Each stripe maps benchmark name → a short `(cycles, profile)`
@@ -26,7 +29,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// up by `&str` — no key allocation on the hot path.
 pub struct StoreFront {
     store: &'static ProfileStore,
-    stripes: Vec<Mutex<HashMap<String, Vec<(u64, Arc<BenchmarkProfile>)>>>>,
+    stripes: Vec<Stripe>,
 }
 
 fn stripe_of(benchmark: &str, cycles: u64, stripes: usize) -> usize {

@@ -37,8 +37,9 @@ use leakage_telemetry::{registry, RequestRecord};
 use leakage_trace::io::StreamDecoder;
 use leakage_trace::TraceError;
 use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Largest accepted decoded chunked body (wire bytes after chunk
 /// deframing, before LKTR record decoding): 256 MiB ≈ 10.7M events.
@@ -194,12 +195,14 @@ pub(crate) fn serve_upload(
     let keep_alive = body_ok
         && !conn.close
         && !worker_config.stop.load(Ordering::Relaxed)
-        && !(conn.eof && !conn.has_buffered_request());
+        && (!conn.eof || conn.has_buffered_request());
     let wire = response.into_wire();
     let status = wire.status();
     let wrote = (&conn.stream).write_all(&wire.to_bytes(keep_alive)).is_ok();
     if !wrote {
         ctx.metrics.transport_errors.inc();
+    } else if !body_ok {
+        linger(&conn.stream);
     }
     if !keep_alive || !wrote {
         conn.close = true;
@@ -229,6 +232,33 @@ pub(crate) fn serve_upload(
         let _ = conn.stream.set_nonblocking(true);
     }
     conn
+}
+
+/// Lingering close after a refused or broken upload, whose body may
+/// still be arriving. Closing a socket with unread input makes the
+/// kernel send a reset, which can destroy the response before the
+/// client reads it. Half-closing first delivers the response and a
+/// FIN; draining, bounded in bytes and time, lets the client's
+/// remaining bytes land before the final close.
+fn linger(stream: &TcpStream) {
+    const LINGER_BYTES: usize = 1 << 20;
+    const LINGER: Duration = Duration::from_millis(500);
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + LINGER;
+    let mut scratch = [0u8; 16 * 1024];
+    let mut drained = 0;
+    while drained < LINGER_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match (&*stream).read(&mut scratch) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 /// Pumps the chunked body from `conn.buf` + the socket into the

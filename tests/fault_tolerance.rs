@@ -177,7 +177,7 @@ fn enospc_degrades_to_memory_only() {
         .map(|d| d.map(|e| e.unwrap().path()).collect())
         .unwrap_or_default();
     assert!(
-        files.iter().all(|p| !p.extension().is_some_and(|e| e == "profile")),
+        files.iter().all(|p| p.extension().is_none_or(|e| e != "profile")),
         "{files:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);

@@ -63,7 +63,7 @@ fn custom_technology_point_behaves_sanely() {
     // With everything long-interval, sleep approaches 1 - sleep_ratio.
     let mut dist = CompactIntervalDist::new();
     dist.add(class(10_000_000), 8);
-    let savings = model.optimal_savings(&dist);
+    let savings = model.optimal_savings(&dist.freeze());
     assert!(savings.opt_sleep > 99.0);
     assert!((savings.opt_drowsy - 75.0).abs() < 1.0, "1 - 0.25 = 75%");
 }
@@ -84,15 +84,14 @@ fn accounting_mode_is_selectable() {
     let strict = GeneralizedModel::with_accounting(params.clone(), RefetchAccounting::PaperStrict);
     let aware = GeneralizedModel::with_accounting(params, RefetchAccounting::DeadAware);
     // Dead intervals slept without refetch save strictly more.
-    assert!(
-        aware.optimal_savings(&dist).opt_sleep > strict.optimal_savings(&dist).opt_sleep
-    );
+    let table = dist.freeze();
+    assert!(aware.optimal_savings(&table).opt_sleep > strict.optimal_savings(&table).opt_sleep);
 }
 
 #[test]
 fn empty_distribution_yields_zero_savings() {
     let model = GeneralizedModel::from_params(CircuitParams::for_node(TechnologyNode::N70));
-    let savings = model.optimal_savings(&CompactIntervalDist::new());
+    let savings = model.optimal_savings(&CompactIntervalDist::new().freeze());
     assert_eq!(savings.opt_drowsy, 0.0);
     assert_eq!(savings.opt_sleep, 0.0);
     assert_eq!(savings.opt_hybrid, 0.0);

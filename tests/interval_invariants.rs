@@ -85,12 +85,17 @@ proptest! {
             dist.total_cycles(),
             intervals.iter().map(|i| i.length).sum::<u64>()
         );
+        // Freezing keeps every aggregate.
+        let table = dist.clone().freeze();
+        prop_assert_eq!(table.num_classes(), dist.num_classes());
+        prop_assert_eq!(table.total_intervals(), dist.total_intervals());
+        prop_assert_eq!(table.total_cycles(), dist.total_cycles());
         let dead = intervals
             .iter()
             .filter(|i| i.kind == IntervalKind::Interior { reaccess: false })
             .count() as u64;
         prop_assert_eq!(
-            dist.count_matching(|c| c.kind == IntervalKind::Interior { reaccess: false }),
+            table.count_matching(|c| c.kind == IntervalKind::Interior { reaccess: false }),
             dead
         );
     }

@@ -16,7 +16,7 @@ use cache_leakage_limits::isa::{program_by_name, IsaSource};
 use cache_leakage_limits::server::{fetch, Server, ServerConfig};
 use cache_leakage_limits::telemetry::json::{self, Json};
 use cache_leakage_limits::trace::io::TraceWriter;
-use cache_leakage_limits::trace::{TraceSink, TraceSource};
+use cache_leakage_limits::trace::TraceSource;
 use cache_leakage_limits::workloads::Scale;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -55,16 +55,17 @@ fn expected_summary(body: &[u8], line_bits: u32) -> (u64, u64, u64) {
     (events, lines, dist.total_intervals())
 }
 
-/// Sends `body` as a chunked POST in `chunk`-byte chunks (plus
-/// `tail` pipelined after the terminator) and returns every byte the
-/// server sends back before closing its half.
-fn chunked_post(addr: SocketAddr, target: &str, body: &[u8], chunk: usize, tail: &[u8]) -> Vec<u8> {
+/// Opens a connection and writes `body` as a chunked POST in
+/// `chunk`-byte chunks, with `headers` (CRLF-terminated lines) added
+/// to the header block.
+fn write_chunked(addr: SocketAddr, target: &str, headers: &str, body: &[u8], chunk: usize) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(CLIENT_TIMEOUT))
         .expect("read timeout");
-    let head =
-        format!("POST {target} HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n");
+    let head = format!(
+        "POST {target} HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n{headers}\r\n"
+    );
     stream.write_all(head.as_bytes()).expect("write head");
     for piece in body.chunks(chunk.max(1)) {
         stream
@@ -74,6 +75,14 @@ fn chunked_post(addr: SocketAddr, target: &str, body: &[u8], chunk: usize, tail:
         stream.write_all(b"\r\n").expect("write terminator");
     }
     stream.write_all(b"0\r\n\r\n").expect("write last chunk");
+    stream
+}
+
+/// Sends `body` as a chunked POST in `chunk`-byte chunks (plus
+/// `tail` pipelined after the terminator) and returns every byte the
+/// server sends back before closing its half.
+fn chunked_post(addr: SocketAddr, target: &str, body: &[u8], chunk: usize, tail: &[u8]) -> Vec<u8> {
+    let mut stream = write_chunked(addr, target, "", body, chunk);
     stream.write_all(tail).expect("write pipelined tail");
     stream
         .shutdown(std::net::Shutdown::Write)
@@ -199,6 +208,35 @@ fn buffered_and_chunked_uploads_summarize_identically() {
         doc.get("intervals").and_then(Json::as_f64),
         Some(intervals as f64)
     );
+    server.shutdown();
+}
+
+/// A one-shot client that announces `Connection: close` on a chunked
+/// upload gets its summary, then the server ends the connection —
+/// without the client half-closing first.
+#[test]
+fn connection_close_chunked_upload_is_answered_then_closed() {
+    let server = Server::start(test_config()).expect("server starts");
+    let addr = server.addr();
+    let body = lktr_trace("isa:isort", 20_000, 11);
+    let target = "/v1/trace/intervals?line_bits=6";
+
+    let (status, keep_alive_summary, _) = split_response(&chunked_post(addr, target, &body, 1000, b""));
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&keep_alive_summary));
+
+    let mut stream = write_chunked(addr, target, "Connection: close\r\n", &body, 1000);
+    let mut raw = Vec::new();
+    stream
+        .read_to_end(&mut raw)
+        .expect("the server answers and closes before the client timeout");
+    let (status, summary, rest) = split_response(&raw);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&summary));
+    assert_eq!(summary, keep_alive_summary, "close and keep-alive uploads summarize identically");
+    assert!(
+        String::from_utf8_lossy(&raw).contains("Connection: close\r\n"),
+        "the response announces the close"
+    );
+    assert!(rest.is_empty(), "nothing follows the one response");
     server.shutdown();
 }
 
