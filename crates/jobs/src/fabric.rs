@@ -74,6 +74,11 @@ pub const MAX_PER_PAGE: u64 = 10_000;
 /// checksum mismatch) before the whole job is declared failed.
 pub const MAX_CHUNK_ATTEMPTS: u32 = 5;
 
+/// How often the runner sweeps stall and heartbeat deadlines (and, at
+/// most, how long it waits for a worker event before re-checking
+/// cancel, stop and remote admissions).
+const DEADLINE_SWEEP: Duration = Duration::from_millis(100);
+
 /// Fabric-wide knobs, fixed at construction.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
@@ -808,6 +813,7 @@ impl Runner {
                 return;
             }
         }
+        let mut next_sweep = Instant::now() + DEADLINE_SWEEP;
         loop {
             if self.job.cancel.load(Ordering::SeqCst) {
                 self.teardown(false);
@@ -824,22 +830,29 @@ impl Runner {
                 return;
             }
             self.admit_remote();
-            match self.events_rx.recv_timeout(Duration::from_millis(100)) {
+            let wait = next_sweep.saturating_duration_since(Instant::now());
+            match self.events_rx.recv_timeout(wait) {
                 Ok(event) => {
                     if !self.handle_event(event) {
                         return; // job reached a terminal state
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if !self.check_deadlines() {
-                        return;
-                    }
-                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     self.fail("all worker channels closed unexpectedly".to_string());
                     self.teardown(false);
                     return;
                 }
+            }
+            // Deadlines are swept on a fixed cadence, not only when the
+            // wait times out: heartbeats alone can keep the channel
+            // busy for minutes, and a lease whose answer was lost must
+            // still expire.
+            if Instant::now() >= next_sweep {
+                if !self.check_deadlines() {
+                    return;
+                }
+                next_sweep = Instant::now() + DEADLINE_SWEEP;
             }
         }
     }
@@ -1294,7 +1307,7 @@ impl Runner {
         counter!("jobs_failed_total").inc();
     }
 
-    /// Timeout-tick sweep. Local workers holding a chunk past the
+    /// Periodic deadline sweep. Local workers holding a chunk past the
     /// stall deadline are killed (their death is observable, so the
     /// `Gone` event handles requeue). Remote workers cannot be killed
     /// meaningfully — silence may be a partition — so their chunk's

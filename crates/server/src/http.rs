@@ -1,6 +1,6 @@
 //! A minimal HTTP/1.1 protocol layer — incremental request parsing
-//! over byte buffers (shared by the epoll reactor, the threaded
-//! transport, and the tests), pre-serializable responses, and a small
+//! over byte buffers (shared by the epoll reactor, the workers, and
+//! the tests), pre-serializable responses, and a small
 //! blocking client with keep-alive support (used by the load
 //! generator and the integration tests).
 //!
@@ -174,9 +174,8 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 
 /// Incrementally parses one request from the front of `buf`.
 ///
-/// This is the single parser behind every transport: the reactor
-/// calls it after each readiness-driven read, the threaded transport
-/// after each blocking read, and workers call it to peel pipelined
+/// This is the only request parser: the reactor calls it after each
+/// readiness-driven read, and workers call it to peel pipelined
 /// successors off an already-filled buffer.
 pub fn parse_request(buf: &[u8]) -> Parse {
     let Some(head_end) = find_header_end(buf) else {
@@ -242,10 +241,14 @@ pub fn parse_request(buf: &[u8]) -> Parse {
                 };
             }
         } else if name.eq_ignore_ascii_case("content-length") {
-            match value.parse::<usize>() {
-                Ok(n) => content_length = n,
+            // `1*DIGIT` only: `str::parse` would also take a leading
+            // `+`, a framing that a stricter proxy in front would read
+            // differently.
+            let digits = !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit());
+            match value.parse::<usize>().ok().filter(|_| digits) {
+                Some(n) => content_length = n,
                 // Framing depends on the unparseable length: close.
-                Err(_) => {
+                None => {
                     return Parse::Bad {
                         bad: BadRequest::new(400, "bad Content-Length"),
                         used: None,
@@ -316,39 +319,6 @@ pub fn parse_request(buf: &[u8]) -> Parse {
             },
         },
         used: total,
-    }
-}
-
-/// Reads and parses one request from `stream` (blocking convenience
-/// wrapper over [`parse_request`], used for one-shot contexts like
-/// the shed path and tests).
-///
-/// # Errors
-///
-/// `Ok(Err(_))` for malformed requests the server should answer with
-/// a 4xx; `Err(_)` for transport failures (timeout, reset) where no
-/// answer can be delivered.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Result<Request, BadRequest>> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match parse_request(&buf) {
-            Parse::Complete { request, .. } => return Ok(Ok(request)),
-            Parse::Bad { bad, .. } => return Ok(Err(bad)),
-            Parse::Partial => {}
-        }
-        match stream.read(&mut chunk)? {
-            0 => {
-                if buf.is_empty() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed before request",
-                    ));
-                }
-                return Ok(Err(BadRequest::new(400, "truncated request")));
-            }
-            n => buf.extend_from_slice(&chunk[..n]),
-        }
     }
 }
 
@@ -543,7 +513,12 @@ impl ChunkedDecoder {
             None => {
                 self.line.extend_from_slice(&buf[*i..]);
                 *i = buf.len();
-                if self.line.len() > MAX_CHUNK_LINE {
+                // A trailing CR may be the first half of the CRLF the
+                // next feed completes; it is not counted against the
+                // cap, so the verdict does not depend on where the
+                // bytes were split.
+                let pending_cr = usize::from(self.line.last() == Some(&b'\r'));
+                if self.line.len() - pending_cr > MAX_CHUNK_LINE {
                     return Err(BadRequest::new(400, "chunk framing line too long"));
                 }
                 Ok(None)
@@ -557,7 +532,8 @@ fn parse_chunk_size(line: &[u8]) -> Result<u64, BadRequest> {
     let text = std::str::from_utf8(line)
         .map_err(|_| BadRequest::new(400, "chunk size line is not UTF-8"))?;
     let digits = text.split(';').next().unwrap_or("").trim();
-    if digits.is_empty() || digits.len() > 16 {
+    // `1*HEXDIG` only: `from_str_radix` would also take a leading `+`.
+    if digits.is_empty() || digits.len() > 16 || !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(BadRequest::new(400, "bad chunk size"));
     }
     u64::from_str_radix(digits, 16).map_err(|_| BadRequest::new(400, "bad chunk size"))
@@ -625,7 +601,7 @@ impl Response {
     /// Pre-serializes into a [`WireResponse`]: the head is rendered
     /// once, the body moves behind an `Arc`, and every later send is
     /// two `memcpy`s — this is the representation the response cache
-    /// and the artifact catalog hold.
+    /// holds.
     pub fn into_wire(self) -> WireResponse {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
@@ -702,7 +678,7 @@ impl WireResponse {
     /// [`Self::serialize_into`] with per-send headers: `extra` is
     /// invoked between the shared pre-rendered head and the
     /// `Connection` line, so request-scoped headers (`X-Request-Id`,
-    /// `Server-Timing`) can ride on cached/catalog responses without
+    /// `Server-Timing`) can ride on cached responses without
     /// touching the shared bytes.
     pub fn serialize_traced(
         &self,
@@ -1321,5 +1297,18 @@ mod tests {
         let long = vec![b'1'; MAX_CHUNK_LINE + 2];
         let bad = ChunkedDecoder::new().feed(&long, &mut out).unwrap_err();
         assert_eq!(bad.status, 400);
+        let bad = ChunkedDecoder::new().feed(b"+2\r\nab", &mut out).unwrap_err();
+        assert_eq!(bad.reason, "bad chunk size", "signed sizes are not hex digits");
+    }
+
+    #[test]
+    fn content_length_must_be_plain_digits() {
+        for value in ["+2", "-2", " ", "2x"] {
+            let wire = format!("POST /v1/sweep HTTP/1.1\r\nContent-Length: {value}\r\n\r\n{{}}");
+            let Parse::Bad { bad, used } = parse_request(wire.as_bytes()) else {
+                panic!("Content-Length {value:?} must be refused");
+            };
+            assert_eq!((bad.status, used), (400, None), "{value:?}");
+        }
     }
 }

@@ -20,12 +20,12 @@
 //! - **Keep-alive + pipelining**: HTTP/1.1 persistent connections with
 //!   incremental parsing ([`http`], [`conn`]); pipelined requests are
 //!   answered as one batched write.
-//! - **Epoll reactor** (Linux, default): one readiness thread owns
+//! - **Epoll reactor**: the one transport. A readiness thread owns
 //!   every idle connection; workers only ever touch connections with
-//!   a complete parsed request ([`reactor`]). A threaded fallback
-//!   transport serves the same protocol ([`pool`]).
-//! - **Admission control**: a bounded queue between transport and the
-//!   fixed worker pool; when full, the transport itself answers
+//!   a complete parsed request ([`reactor`]). The server is therefore
+//!   Linux-only.
+//! - **Admission control**: a bounded queue between the reactor and
+//!   the fixed worker pool; when full, the reactor itself answers
 //!   503 + `Retry-After` ([`pool`]).
 //! - **Per-endpoint concurrency limits**: simulation-backed GETs and
 //!   sweep batches each hold a semaphore permit ([`limit`]).
@@ -34,23 +34,21 @@
 //!   the worker pumps wire bytes straight through the chunk deframer
 //!   and trace decoder into the constant-memory streaming interval
 //!   extractor ([`streaming`]).
-//! - **Sharded hot state**: lock-striped profile-store front
-//!   ([`storefront`]), sharded O(1)-eviction LRU response cache
-//!   ([`respcache`]), striped telemetry counters.
-//! - **Pre-serialized artifacts**: the finite default-scale artifact
-//!   space is rendered to wire bytes once and served as `Arc` clones
-//!   ([`artifacts`]).
+//! - **Two memo tiers**: the `ProfileStore` memoizes profiles, and an
+//!   O(1)-eviction LRU cache holds serialized `GET /v1/*` responses as
+//!   `Arc` clones ([`respcache`]). The default-scale tables, figures
+//!   and `/v1/version` are warmed into it at startup.
 //! - **Panic isolation**: a panicking handler — including one armed
 //!   via `LEAKAGE_FAULTS=server/handler/<route>=panic` — costs that
 //!   request a 500, never a worker ([`routes`]).
-//! - **Graceful shutdown**: SIGINT/SIGTERM stop the transport,
+//! - **Graceful shutdown**: SIGINT/SIGTERM stop the reactor,
 //!   admitted work drains, keep-alive connections are told
 //!   `Connection: close`, workers join ([`signal`], [`pool`]).
 //! - **Telemetry**: per-route request counters, latency histograms,
 //!   and an in-flight gauge in the shared registry, served back out
 //!   through `/metrics`.
 //! - **Request tracing**: every request carries a `u64` trace id
-//!   (honouring `X-Request-Id`) through transport → queue → worker →
+//!   (honouring `X-Request-Id`) through reactor → queue → worker →
 //!   handler, echoed back with a per-stage `Server-Timing` header
 //!   ([`trace`]); completed requests land in a lock-free flight
 //!   recorder served by `/debug/*` — exempt from admission shedding,
@@ -63,21 +61,21 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod artifacts;
+#[cfg(not(target_os = "linux"))]
+compile_error!("leakage-server serves through an epoll reactor and builds on Linux only");
+
 pub mod conn;
 pub mod http;
 pub mod limit;
 pub mod loadgen;
 pub mod pool;
-#[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod respcache;
 pub mod routes;
 pub mod signal;
-pub mod storefront;
 pub mod streaming;
 pub mod trace;
 
 pub use http::{fetch, Client, ClientResponse, Request, Response, WireResponse};
 pub use loadgen::{LoadgenConfig, LoadReport};
-pub use pool::{Server, ServerConfig, Transport};
+pub use pool::{Server, ServerConfig};

@@ -4,9 +4,8 @@
 //! weighted path mix round-robin, and optionally pipelines a batch of
 //! requests per write. Closed-loop means offered load adapts to
 //! service rate, so the report measures the server's sustainable
-//! throughput rather than queue growth. `keep_alive: false` restores
-//! the PR-5 connection-per-request behavior — the bench trajectory's
-//! baseline configuration.
+//! throughput rather than queue growth. `keep_alive: false` opens a
+//! fresh connection per request instead.
 //!
 //! Latency is measured per response from the moment its batch was
 //! written (so under pipelining, later responses in a batch include
@@ -75,8 +74,12 @@ pub struct LoadReport {
     pub transport_errors: u64,
     /// Wall-clock seconds the run took.
     pub elapsed_secs: f64,
-    /// Completed requests per second.
+    /// Completed requests per second, counting every status — shed
+    /// 503s included, so under overload this rises while useful work
+    /// does not. See [`Self::goodput_rps`].
     pub throughput_rps: f64,
+    /// 2xx responses per second: the work the server actually did.
+    pub goodput_rps: f64,
     /// Median latency, microseconds (interpolated).
     pub p50_us: u64,
     /// 95th-percentile latency, microseconds (interpolated).
@@ -173,6 +176,7 @@ impl LoadReport {
             json::key("transport_errors") + &num_u(self.transport_errors),
             json::key("elapsed_secs") + &format!("{:.3}", self.elapsed_secs),
             json::key("throughput_rps") + &format!("{:.1}", self.throughput_rps),
+            json::key("goodput_rps") + &format!("{:.1}", self.goodput_rps),
             json::key("p50_us") + &num_u(self.p50_us),
             json::key("p95_us") + &num_u(self.p95_us),
             json::key("p99_us") + &num_u(self.p99_us),
@@ -399,24 +403,29 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadReport> {
                 })?,
         );
     }
+    let threads: Vec<ThreadStats> = handles.into_iter().filter_map(|h| h.join().ok()).collect();
+    Ok(aggregate(threads, started.elapsed().as_secs_f64()))
+}
+
+/// Merges the per-thread tallies of a run that took `elapsed` seconds
+/// into one report.
+fn aggregate(threads: Vec<ThreadStats>, elapsed: f64) -> LoadReport {
     let mut latencies = Vec::new();
     let mut totals = ThreadStats::default();
-    for handle in handles {
-        if let Ok(stats) = handle.join() {
-            latencies.extend(stats.latencies_us);
-            for (merged, thread) in totals.stage_us.iter_mut().zip(stats.stage_us) {
-                merged.extend(thread);
-            }
-            totals.status_2xx += stats.status_2xx;
-            totals.status_4xx += stats.status_4xx;
-            totals.status_5xx += stats.status_5xx;
-            totals.transport_errors += stats.transport_errors;
-            totals.connections_opened += stats.connections_opened;
-            totals.reconnects += stats.reconnects;
+    for stats in threads {
+        latencies.extend(stats.latencies_us);
+        for (merged, thread) in totals.stage_us.iter_mut().zip(stats.stage_us) {
+            merged.extend(thread);
         }
+        totals.status_2xx += stats.status_2xx;
+        totals.status_4xx += stats.status_4xx;
+        totals.status_5xx += stats.status_5xx;
+        totals.transport_errors += stats.transport_errors;
+        totals.connections_opened += stats.connections_opened;
+        totals.reconnects += stats.reconnects;
     }
     latencies.sort_unstable();
-    let elapsed = started.elapsed().as_secs_f64().max(1e-9);
+    let elapsed = elapsed.max(1e-9);
     let requests = latencies.len() as u64;
     let server_stages = TIMING_STAGES
         .iter()
@@ -433,7 +442,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadReport> {
             }
         })
         .collect();
-    Ok(LoadReport {
+    LoadReport {
         requests,
         status_2xx: totals.status_2xx,
         status_4xx: totals.status_4xx,
@@ -441,6 +450,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadReport> {
         transport_errors: totals.transport_errors,
         elapsed_secs: elapsed,
         throughput_rps: requests as f64 / elapsed,
+        goodput_rps: totals.status_2xx as f64 / elapsed,
         p50_us: percentile(&latencies, 0.50),
         p95_us: percentile(&latencies, 0.95),
         p99_us: percentile(&latencies, 0.99),
@@ -448,7 +458,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadReport> {
         connections_opened: totals.connections_opened,
         reconnects: totals.reconnects,
         server_stages,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -510,6 +520,7 @@ mod tests {
             transport_errors: 0,
             elapsed_secs: 2.0,
             throughput_rps: 5.0,
+            goodput_rps: 4.5,
             p50_us: 100,
             p95_us: 200,
             p99_us: 300,
@@ -526,6 +537,7 @@ mod tests {
         let doc = leakage_telemetry::json::parse(&report.to_json()).unwrap();
         assert_eq!(doc.get("requests").and_then(|v| v.as_f64()), Some(10.0));
         assert_eq!(doc.get("throughput_rps").and_then(|v| v.as_f64()), Some(5.0));
+        assert_eq!(doc.get("goodput_rps").and_then(|v| v.as_f64()), Some(4.5));
         assert_eq!(doc.get("p99_us").and_then(|v| v.as_f64()), Some(300.0));
         assert_eq!(doc.get("max_us").and_then(|v| v.as_f64()), Some(350.0));
         assert_eq!(
@@ -538,6 +550,23 @@ mod tests {
             .expect("handler stage");
         assert_eq!(handler.get("count").and_then(|v| v.as_f64()), Some(10.0));
         assert_eq!(handler.get("p99_us").and_then(|v| v.as_f64()), Some(80.0));
+    }
+
+    #[test]
+    fn shed_503s_count_as_throughput_but_not_goodput() {
+        let mut stats = ThreadStats::default();
+        for _ in 0..6 {
+            stats.count(200, 100);
+        }
+        for _ in 0..4 {
+            stats.count(503, 10);
+        }
+        let report = aggregate(vec![stats, ThreadStats::default()], 2.0);
+        assert_eq!(report.requests, 10);
+        assert_eq!(report.status_5xx, 4);
+        assert_eq!(report.throughput_rps, 5.0);
+        assert_eq!(report.goodput_rps, 3.0);
+        assert!(report.goodput_rps < report.throughput_rps);
     }
 
     #[test]

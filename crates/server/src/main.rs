@@ -1,7 +1,7 @@
 //! The `leakage-server` binary: serve the analysis API until
 //! SIGINT/SIGTERM, then drain and exit.
 
-use leakage_server::{signal, Server, ServerConfig, Transport};
+use leakage_server::{signal, Server, ServerConfig};
 use leakage_workloads::Scale;
 use std::io::Write as _;
 use std::time::Duration;
@@ -11,9 +11,8 @@ fn usage() -> ! {
         "usage: leakage-server [--addr HOST:PORT] [--workers N] [--queue-depth N]\n\
          \x20                  [--scale test|small|paper|CYCLES] [--timeout-ms MS]\n\
          \x20                  [--cache-entries N] [--sim-concurrency N] [--sweep-concurrency N]\n\
-         \x20                  [--transport reactor|threaded] [--idle-timeout-ms MS]\n\
-         \x20                  [--max-requests-per-conn N] [--max-connections N]\n\
-         \x20                  [--pipeline-batch N] [--cache-shards N] [--no-preserialize]\n\
+         \x20                  [--idle-timeout-ms MS] [--max-requests-per-conn N]\n\
+         \x20                  [--max-connections N] [--pipeline-batch N] [--no-preserialize]\n\
          \x20                  [--no-recorder] [--recorder-cap N]\n\
          \x20                  [--jobs-dir PATH] [--job-workers N] [--job-stall-ms MS]\n\
          \x20                  [--job-worker-env KEY=VALUE] [--max-active-jobs N]\n\
@@ -49,9 +48,6 @@ fn parse_config() -> ServerConfig {
             "--sweep-concurrency" => {
                 config.sweep_concurrency = value().parse().unwrap_or_else(|_| usage());
             }
-            "--transport" => {
-                config.transport = Transport::parse(&value()).unwrap_or_else(|| usage());
-            }
             "--idle-timeout-ms" => {
                 config.idle_timeout =
                     Duration::from_millis(value().parse().unwrap_or_else(|_| usage()));
@@ -66,9 +62,7 @@ fn parse_config() -> ServerConfig {
             "--pipeline-batch" => {
                 config.pipeline_batch = value().parse().unwrap_or_else(|_| usage());
             }
-            "--cache-shards" => {
-                config.cache_shards = value().parse().unwrap_or_else(|_| usage());
-            }
+            // Skip the startup warm-up of the response cache.
             "--no-preserialize" => config.preserialize = false,
             "--no-recorder" => config.recorder = false,
             "--recorder-cap" => {

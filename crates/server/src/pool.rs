@@ -1,75 +1,38 @@
-//! The server core: transports, bounded job queue, worker pool,
-//! graceful shutdown.
+//! The server core: the bounded job queue, the worker pool, and
+//! graceful shutdown around the epoll reactor.
 //!
-//! Two transports produce parsed requests for the same worker pool:
+//! One transport produces parsed requests: the reactor thread owns
+//! accept + read-readiness and parses requests off nonblocking
+//! connections ([`crate::reactor`]), so an idle keep-alive connection
+//! costs a slab entry, not a thread. Workers pop `(connection,
+//! request)` jobs, answer the request and any pipelined successors in
+//! one batched write, and hand the connection back.
 //!
-//! - [`Transport::Reactor`] (Linux, default): one epoll reactor
-//!   thread owns accept + read-readiness and parses requests off
-//!   nonblocking connections ([`crate::reactor`]); idle keep-alive
-//!   connections cost a slab entry, not a thread.
-//! - [`Transport::Threaded`]: a blocking acceptor admits connections
-//!   into the queue and each worker runs a keep-alive serve loop on
-//!   the connection it popped (the portable fallback, and the
-//!   "keep-alive before the reactor" point in the bench trajectory).
-//!
-//! Backpressure is explicit in both: when the bounded queue is full
-//! the transport itself answers 503 + `Retry-After` and closes — the
-//! client learns immediately instead of queueing into a timeout.
-//! Shutdown is draining: accepts stop, admitted work is served, idle
-//! keep-alive connections close, then the workers exit.
+//! Backpressure is explicit: when the bounded queue is full the
+//! reactor itself answers 503 + `Retry-After` and closes — the client
+//! learns immediately instead of queueing into a timeout. Shutdown is
+//! draining: accepts stop, admitted work is served, idle keep-alive
+//! connections close, then the workers exit.
 
-use crate::artifacts::ArtifactCatalog;
 use crate::conn::{Connection, Taken};
-use crate::http::{read_request, Request, Response};
+use crate::http::{Request, Response};
 use crate::limit::Semaphore;
+use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
 use crate::respcache::ResponseCache;
 use crate::routes::{self, RouteContext, ServerInfo};
-use crate::storefront::StoreFront;
 use crate::trace::{us32, PendingRecord, StageTrace, TimingHeader};
 use leakage_experiments::ProfileStore;
 use leakage_jobs::{FabricConfig, JobFabric};
-use leakage_telemetry::{registry, FlightRecorder, RequestRecord, FLAG_SHED};
+use leakage_telemetry::{FlightRecorder, RequestRecord, FLAG_SHED};
 use leakage_workloads::Scale;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How parsed requests are produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Readiness-based epoll reactor (Linux only; elsewhere it falls
-    /// back to [`Transport::Threaded`] at start).
-    Reactor,
-    /// Blocking acceptor + per-connection worker serve loop.
-    Threaded,
-}
-
-impl Default for Transport {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            Transport::Reactor
-        } else {
-            Transport::Threaded
-        }
-    }
-}
-
-impl Transport {
-    /// Parses a CLI token (`reactor` | `threaded`).
-    pub fn parse(arg: &str) -> Option<Transport> {
-        match arg {
-            "reactor" => Some(Transport::Reactor),
-            "threaded" => Some(Transport::Threaded),
-            _ => None,
-        }
-    }
-}
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -80,9 +43,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission queue depth; work beyond it is shed.
     pub queue_depth: usize,
-    /// Per-connection socket read/write timeout (blocking paths).
+    /// Socket read timeout while a worker streams a chunked upload.
     pub request_timeout: Duration,
-    /// LRU response-cache capacity (entries, across all shards).
+    /// LRU response-cache capacity (entries).
     pub cache_entries: usize,
     /// Scale used when a query names none.
     pub default_scale: Scale,
@@ -94,8 +57,6 @@ pub struct ServerConfig {
     pub limit_wait: Duration,
     /// `Retry-After` seconds on shed responses.
     pub retry_after_secs: u64,
-    /// How parsed requests are produced.
-    pub transport: Transport,
     /// Close keep-alive connections idle this long.
     pub idle_timeout: Duration,
     /// Requests served per connection before it is closed
@@ -105,9 +66,8 @@ pub struct ServerConfig {
     /// Pipelined requests a worker answers per queue cycle before
     /// putting the connection back (fairness under pipelining).
     pub pipeline_batch: usize,
-    /// Shards for the response cache and profile-store front.
-    pub cache_shards: usize,
-    /// Pre-serialize the default-scale artifact space at startup.
+    /// Warm the response cache with the default-scale artifacts at
+    /// startup (`--no-preserialize` turns it off).
     pub preserialize: bool,
     /// Open connections the reactor will hold before shedding new
     /// accepts.
@@ -157,11 +117,9 @@ impl Default for ServerConfig {
             sweep_concurrency: 2,
             limit_wait: Duration::from_secs(10),
             retry_after_secs: 1,
-            transport: Transport::default(),
             idle_timeout: Duration::from_secs(5),
             max_requests_per_connection: 1024,
             pipeline_batch: 32,
-            cache_shards: 8,
             preserialize: true,
             max_connections: 1024,
             recorder: true,
@@ -185,11 +143,8 @@ pub struct WorkerConfig {
     pub max_requests_per_connection: u32,
     /// Max pipelined responses per queue cycle.
     pub pipeline_batch: usize,
-    /// Blocking-write timeout.
+    /// Read timeout while streaming a chunked upload body.
     pub request_timeout: Duration,
-    /// Whether connections are nonblocking (reactor transport) and
-    /// must be toggled around blocking writes.
-    pub nonblocking: bool,
     /// The server's stop flag: once raised, responses advertise
     /// `Connection: close` and connections wind down.
     pub stop: Arc<AtomicBool>,
@@ -199,7 +154,7 @@ pub struct WorkerConfig {
 /// unit of work the reactor hands the pool.
 pub type Job = (Connection, Request);
 
-/// The bounded queue between a transport and the workers.
+/// The bounded queue between the reactor and the workers.
 pub struct Queue<T> {
     inner: Mutex<QueueInner<T>>,
     ready: Condvar,
@@ -282,21 +237,6 @@ impl<T> Queue<T> {
     }
 }
 
-enum Inner {
-    #[cfg(target_os = "linux")]
-    Reactor {
-        handle: Arc<crate::reactor::ReactorHandle>,
-        queue: Arc<Queue<Job>>,
-        reactor: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    Threaded {
-        queue: Arc<Queue<Connection>>,
-        acceptor: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-}
-
 /// A running analysis service. Dropping without
 /// [`shutdown`](Server::shutdown) aborts ungracefully (threads are
 /// detached); call `shutdown` to drain.
@@ -304,11 +244,14 @@ pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     jobs: Arc<JobFabric>,
-    inner: Inner,
+    handle: Arc<ReactorHandle>,
+    queue: Arc<Queue<Job>>,
+    reactor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds, spawns the transport and worker pool, and returns
+    /// Binds, spawns the reactor and worker pool, and returns
     /// immediately.
     ///
     /// # Errors
@@ -317,11 +260,7 @@ impl Server {
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let shards = config.cache_shards.max(1);
-        let transport = match config.transport {
-            Transport::Reactor if cfg!(target_os = "linux") => Transport::Reactor,
-            _ => Transport::Threaded,
-        };
+        listener.set_nonblocking(true)?;
         let recorder = config.recorder.then(|| {
             let cap = if config.recorder_cap > 0 {
                 config.recorder_cap
@@ -351,14 +290,10 @@ impl Server {
             ..FabricConfig::default()
         })?;
 
+        let queue = Arc::new(Queue::new(config.queue_depth.max(1)));
         let ctx = Arc::new(RouteContext {
             store: ProfileStore::global(),
-            front: Arc::new(StoreFront::new(ProfileStore::global(), shards)),
-            cache: Arc::new(ResponseCache::new(config.cache_entries, shards)),
-            catalog: Arc::new(ArtifactCatalog::new(
-                config.preserialize,
-                config.default_scale,
-            )),
+            cache: Arc::new(ResponseCache::new(config.cache_entries)),
             sim_limit: Arc::new(Semaphore::new(config.sim_concurrency.max(1))),
             sweep_limit: Arc::new(Semaphore::new(config.sweep_concurrency.max(1))),
             default_scale: config.default_scale,
@@ -368,46 +303,84 @@ impl Server {
             jobs: Arc::clone(&jobs),
             job_worker_quorum: config.job_worker_quorum,
             recorder,
-            info: ServerInfo::new(
-                match transport {
-                    Transport::Reactor => "reactor",
-                    Transport::Threaded => "threaded",
-                },
-                config.workers.max(1),
-            ),
+            info: ServerInfo::new(config.workers.max(1), {
+                let queue = Arc::clone(&queue);
+                Box::new(move || queue.len())
+            }),
         });
         let stop = Arc::new(AtomicBool::new(false));
 
         if config.preserialize {
-            // Warm the catalog off the serving path; first-touch
+            // Warm the response cache off the serving path; first-touch
             // requests that race it compute identical bytes.
             let ctx = Arc::clone(&ctx);
             std::thread::Builder::new()
                 .name("leakage-server-warm".to_string())
-                .spawn(move || routes::warm_catalog(&ctx))?;
+                .spawn(move || routes::warm_cache(&ctx))?;
         }
+
+        // Debug/health routes answer inline on a full queue instead of
+        // shedding — the observability plane must stay reachable exactly
+        // when the system is saturated. The closures keep the reactor
+        // route-agnostic.
+        let exempt = {
+            let ctx = Arc::clone(&ctx);
+            Arc::new(move |request: &Request| routes::exempt_response(request, &ctx))
+                as Arc<crate::reactor::ExemptFn>
+        };
+        let on_shed = {
+            let ctx = Arc::clone(&ctx);
+            Arc::new(move |request: &Request| record_shed(request, &ctx))
+                as Arc<crate::reactor::ShedHook>
+        };
+        let (reactor, handle) = Reactor::new(
+            listener,
+            Arc::clone(&queue),
+            ReactorConfig {
+                idle_timeout: config.idle_timeout,
+                max_requests_per_connection: config.max_requests_per_connection,
+                max_connections: config.max_connections.max(1),
+                retry_after_secs: config.retry_after_secs,
+                exempt,
+                on_shed,
+            },
+        )?;
+        let reactor = {
+            let stop = Arc::clone(&stop);
+            std::thread::Builder::new()
+                .name("leakage-server-reactor".to_string())
+                .spawn(move || reactor.run(&stop))?
+        };
 
         let worker_config = Arc::new(WorkerConfig {
             max_requests_per_connection: config.max_requests_per_connection,
             pipeline_batch: config.pipeline_batch.max(1),
             request_timeout: config.request_timeout,
-            nonblocking: transport == Transport::Reactor,
             stop: Arc::clone(&stop),
         });
-
-        let inner = match transport {
-            #[cfg(target_os = "linux")]
-            Transport::Reactor => {
-                start_reactor(listener, &config, &ctx, &stop, &worker_config)?
-            }
-            _ => start_threaded(listener, &config, &ctx, &stop, &worker_config)?,
-        };
+        let mut workers = Vec::with_capacity(config.workers.max(1));
+        for index in 0..config.workers.max(1) {
+            let queue = Arc::clone(&queue);
+            let handle = Arc::clone(&handle);
+            let ctx = Arc::clone(&ctx);
+            let worker_config = Arc::clone(&worker_config);
+            workers.push(
+                std::thread::Builder::new()
+                    .name(format!("leakage-server-worker-{index}"))
+                    .spawn(move || {
+                        crate::reactor::reactor_worker(&queue, &handle, &ctx, &worker_config)
+                    })?,
+            );
+        }
 
         Ok(Server {
             addr,
             stop,
             jobs,
-            inner,
+            handle,
+            queue,
+            reactor: Some(reactor),
+            workers,
         })
     }
 
@@ -421,245 +394,24 @@ impl Server {
         self.addr
     }
 
-    /// Current job/admission-queue depth (observability for tests).
-    pub fn queue_len(&self) -> usize {
-        match &self.inner {
-            #[cfg(target_os = "linux")]
-            Inner::Reactor { queue, .. } => queue.len(),
-            Inner::Threaded { queue, .. } => queue.len(),
-        }
-    }
-
     /// Graceful shutdown: stop accepting, serve everything already
     /// admitted (in-flight keep-alive requests included), close idle
     /// connections, join every thread.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        match &mut self.inner {
-            #[cfg(target_os = "linux")]
-            Inner::Reactor {
-                handle,
-                queue,
-                reactor,
-                workers,
-            } => {
-                handle.wake();
-                if let Some(reactor) = reactor.take() {
-                    let _ = reactor.join();
-                }
-                // Reactor exit means every connection has drained;
-                // closing the queue releases the idle workers.
-                queue.close();
-                for worker in workers.drain(..) {
-                    let _ = worker.join();
-                }
-            }
-            Inner::Threaded {
-                queue,
-                acceptor,
-                workers,
-            } => {
-                if let Some(acceptor) = acceptor.take() {
-                    let _ = acceptor.join();
-                }
-                // Acceptor is gone: nothing new can be admitted.
-                // Closing the queue lets workers drain the backlog
-                // and exit.
-                queue.close();
-                for worker in workers.drain(..) {
-                    let _ = worker.join();
-                }
-            }
+        self.handle.wake();
+        if let Some(reactor) = self.reactor.take() {
+            let _ = reactor.join();
+        }
+        // Reactor exit means every connection has drained; closing the
+        // queue releases the idle workers.
+        self.queue.close();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
         // Resumable stop: running jobs park as `queued` with their
         // checkpoints intact; a restarted server picks them back up.
         self.jobs.stop();
-    }
-}
-
-#[cfg(target_os = "linux")]
-fn start_reactor(
-    listener: TcpListener,
-    config: &ServerConfig,
-    ctx: &Arc<RouteContext>,
-    stop: &Arc<AtomicBool>,
-    worker_config: &Arc<WorkerConfig>,
-) -> io::Result<Inner> {
-    use crate::reactor::{Reactor, ReactorConfig};
-
-    listener.set_nonblocking(true)?;
-    let queue = Arc::new(Queue::new(config.queue_depth.max(1)));
-    ctx.info.set_queue_len({
-        let queue = Arc::clone(&queue);
-        Box::new(move || queue.len())
-    });
-    // Debug/health routes answer inline on a full queue instead of
-    // shedding — the observability plane must stay reachable exactly
-    // when the system is saturated. The closures keep the reactor
-    // route-agnostic.
-    let exempt = {
-        let ctx = Arc::clone(ctx);
-        Arc::new(move |request: &Request| routes::exempt_response(request, &ctx))
-            as Arc<crate::reactor::ExemptFn>
-    };
-    let on_shed = {
-        let ctx = Arc::clone(ctx);
-        Arc::new(move |request: &Request| record_shed(request, &ctx))
-            as Arc<crate::reactor::ShedHook>
-    };
-    let (reactor, handle) = Reactor::new(
-        listener,
-        Arc::clone(&queue),
-        ReactorConfig {
-            idle_timeout: config.idle_timeout,
-            max_requests_per_connection: config.max_requests_per_connection,
-            max_connections: config.max_connections.max(1),
-            retry_after_secs: config.retry_after_secs,
-            exempt,
-            on_shed,
-        },
-    )?;
-
-    let reactor_thread = {
-        let stop = Arc::clone(stop);
-        std::thread::Builder::new()
-            .name("leakage-server-reactor".to_string())
-            .spawn(move || reactor.run(&stop))?
-    };
-    let mut workers = Vec::with_capacity(config.workers.max(1));
-    for index in 0..config.workers.max(1) {
-        let queue = Arc::clone(&queue);
-        let handle = Arc::clone(&handle);
-        let ctx = Arc::clone(ctx);
-        let worker_config = Arc::clone(worker_config);
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("leakage-server-worker-{index}"))
-                .spawn(move || {
-                    crate::reactor::reactor_worker(&queue, &handle, &ctx, &worker_config)
-                })?,
-        );
-    }
-    Ok(Inner::Reactor {
-        handle,
-        queue,
-        reactor: Some(reactor_thread),
-        workers,
-    })
-}
-
-fn start_threaded(
-    listener: TcpListener,
-    config: &ServerConfig,
-    ctx: &Arc<RouteContext>,
-    stop: &Arc<AtomicBool>,
-    worker_config: &Arc<WorkerConfig>,
-) -> io::Result<Inner> {
-    // Nonblocking so the acceptor can poll the stop flag; under load
-    // accepts still happen back-to-back.
-    listener.set_nonblocking(true)?;
-    let queue = Arc::new(Queue::new(config.queue_depth.max(1)));
-    ctx.info.set_queue_len({
-        let queue = Arc::clone(&queue);
-        Box::new(move || queue.len())
-    });
-
-    let acceptor = {
-        let stop = Arc::clone(stop);
-        let queue = Arc::clone(&queue);
-        let ctx = Arc::clone(ctx);
-        let retry_after = config.retry_after_secs;
-        let timeout = config.request_timeout;
-        std::thread::Builder::new()
-            .name("leakage-server-accept".to_string())
-            .spawn(move || accept_loop(&listener, &stop, &queue, &ctx, retry_after, timeout))?
-    };
-
-    let mut workers = Vec::with_capacity(config.workers.max(1));
-    let idle_timeout = config.idle_timeout;
-    for index in 0..config.workers.max(1) {
-        let queue = Arc::clone(&queue);
-        let ctx = Arc::clone(ctx);
-        let worker_config = Arc::clone(worker_config);
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("leakage-server-worker-{index}"))
-                .spawn(move || threaded_worker(&queue, &ctx, &worker_config, idle_timeout))?,
-        );
-    }
-    Ok(Inner::Threaded {
-        queue,
-        acceptor: Some(acceptor),
-        workers,
-    })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    stop: &AtomicBool,
-    queue: &Queue<Connection>,
-    ctx: &RouteContext,
-    retry_after_secs: u64,
-    timeout: Duration,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // A panic here (the injection site below, or a queue
-                // bug) must cost one connection, not the acceptor.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    leakage_faults::panic_point("server/accept");
-                    admit(stream, queue, ctx, retry_after_secs, timeout);
-                }));
-                if result.is_err() {
-                    registry().counter("server_accept_panics_total").inc();
-                }
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => {
-                // Transient accept errors (EMFILE, aborted handshake):
-                // count and keep serving.
-                registry().counter("server_accept_errors_total").inc();
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-}
-
-fn admit(
-    stream: TcpStream,
-    queue: &Queue<Connection>,
-    ctx: &RouteContext,
-    retry_after_secs: u64,
-    timeout: Duration,
-) {
-    let _ = stream.set_write_timeout(Some(timeout));
-    let _ = stream.set_nodelay(true);
-    if let Err(mut rejected) = queue.push(Connection::new(stream, 0)) {
-        // Drain the request first (briefly — the acceptor must not be
-        // hostage to a slow sender): dropping a socket with unread
-        // bytes RSTs the connection and the client never sees the 503.
-        let _ = rejected
-            .stream
-            .set_read_timeout(Some(Duration::from_millis(250)));
-        let request = read_request(&mut rejected.stream);
-        // Health/debug routes stay reachable when saturated: answer
-        // inline on the acceptor instead of shedding.
-        if let Ok(Ok(request)) = &request {
-            if let Some(wire) = routes::exempt_response(request, ctx) {
-                let _ = (&rejected.stream).write_all(&wire.to_bytes(false));
-                let _ = rejected.stream.shutdown(std::net::Shutdown::Write);
-                return;
-            }
-            record_shed(request, ctx);
-        }
-        registry().counter("server_admission_rejected_total").inc();
-        let _ = Response::error(503, "admission queue full")
-            .with_header("Retry-After", retry_after_secs.to_string())
-            .write_to(&mut rejected.stream);
-        let _ = rejected.stream.shutdown(std::net::Shutdown::Write);
     }
 }
 
@@ -690,95 +442,7 @@ pub(crate) fn record_shed(request: &Request, ctx: &RouteContext) {
     });
 }
 
-fn threaded_worker(
-    queue: &Queue<Connection>,
-    ctx: &RouteContext,
-    worker_config: &WorkerConfig,
-    idle_timeout: Duration,
-) {
-    while let Some(conn) = queue.pop() {
-        // Isolation belt-and-braces: `routes::handle` already catches
-        // handler panics; this outer catch covers the protocol layer
-        // so no panic whatsoever can kill a worker.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            serve_blocking(conn, ctx, worker_config, idle_timeout);
-        }));
-        if result.is_err() {
-            registry().counter("server_worker_panics_total").inc();
-        }
-    }
-}
-
-/// The threaded transport's keep-alive serve loop: parse, hand the
-/// batch to the shared worker path, read more, until the connection's
-/// fate is close or it idles out.
-fn serve_blocking(
-    mut conn: Connection,
-    ctx: &RouteContext,
-    worker_config: &WorkerConfig,
-    idle_timeout: Duration,
-) {
-    // Short read slices so the loop can notice stop/idle deadlines
-    // without a dedicated reactor.
-    let slice = idle_timeout.min(Duration::from_millis(100)).max(Duration::from_millis(10));
-    if conn.stream.set_read_timeout(Some(slice)).is_err() {
-        return;
-    }
-    let mut idle = Duration::ZERO;
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match conn.take_request(worker_config.max_requests_per_connection) {
-            Taken::Request(request) => {
-                conn = work_requests(conn, request, ctx, worker_config);
-                if conn.close || worker_config.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                idle = Duration::ZERO;
-            }
-            Taken::Bad { bad, recoverable } => {
-                let survive = recoverable && !conn.eof;
-                let wire = Response::error(bad.status, &bad.reason).into_wire();
-                wire.serialize_into(&mut conn.out, survive);
-                ctx.metrics.responses_4xx.inc();
-                let wrote = (&conn.stream).write_all(&conn.out).is_ok();
-                conn.out.clear();
-                if !survive || !wrote {
-                    return;
-                }
-            }
-            Taken::NeedMore => {
-                if conn.eof || conn.close {
-                    return;
-                }
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => conn.eof = true,
-                    Ok(n) => {
-                        conn.buf.extend_from_slice(&chunk[..n]);
-                        idle = Duration::ZERO;
-                    }
-                    Err(err)
-                        if err.kind() == io::ErrorKind::WouldBlock
-                            || err.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        idle += slice;
-                        if worker_config.stop.load(Ordering::SeqCst) || idle >= idle_timeout {
-                            registry().counter("server_idle_closed_total").inc();
-                            return;
-                        }
-                    }
-                    Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        ctx.metrics.transport_errors.inc();
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The shared worker path (both transports): answer `request` and up
-/// to `pipeline_batch - 1` pipelined successors, batching the
+/// The worker path: answer `request` and up to `pipeline_batch - 1` pipelined successors, batching the
 /// pre-serialized responses into one buffer and one write.
 ///
 /// Returns the connection with its fate recorded in `close`.
@@ -800,9 +464,9 @@ pub fn work_requests(
             // `Connection: close` when the connection's fate is already
             // sealed (client asked, budget spent, draining). A peer the
             // flush just failed to reach gets no upload served.
-            // Exclusive connection ownership (reactor ONESHOT /
-            // per-worker connections) makes the blocking reads safe.
-            if flush_batch(&mut conn, ctx, worker_config) {
+            // Exclusive connection ownership (reactor ONESHOT) makes
+            // the blocking reads safe.
+            if flush_batch(&mut conn, ctx) {
                 conn = crate::streaming::serve_upload(conn, &request, ctx, worker_config);
             }
             answered += 1;
@@ -914,7 +578,7 @@ pub fn work_requests(
             Taken::NeedMore => break,
         }
     }
-    flush_batch(&mut conn, ctx, worker_config);
+    flush_batch(&mut conn, ctx);
     conn.pending.clear();
     ctx.metrics.inflight.sub(1);
     conn
@@ -925,12 +589,12 @@ pub fn work_requests(
 /// on a transport failure. No-op when nothing is serialized.
 ///
 /// Returns `false` iff the write failed.
-fn flush_batch(conn: &mut Connection, ctx: &RouteContext, worker_config: &WorkerConfig) -> bool {
+fn flush_batch(conn: &mut Connection, ctx: &RouteContext) -> bool {
     if conn.out.is_empty() {
         return true;
     }
     let write_started = Instant::now();
-    let wrote = flush_output(conn, worker_config).is_ok();
+    let wrote = flush_output(conn).is_ok();
     if !wrote {
         ctx.metrics.transport_errors.inc();
         conn.close = true;
@@ -956,18 +620,14 @@ fn flush_batch(conn: &mut Connection, ctx: &RouteContext, worker_config: &Worker
     wrote
 }
 
-/// Writes the batched output buffer, toggling a reactor-owned socket
+/// Writes the batched output buffer, toggling the reactor-owned socket
 /// into blocking mode for the write.
-fn flush_output(conn: &mut Connection, worker_config: &WorkerConfig) -> io::Result<()> {
-    if worker_config.nonblocking {
-        conn.stream.set_nonblocking(false)?;
-    }
+fn flush_output(conn: &mut Connection) -> io::Result<()> {
+    conn.stream.set_nonblocking(false)?;
     let result = (&conn.stream).write_all(&conn.out);
-    if worker_config.nonblocking {
-        // Restore readiness mode even after a failed write; the
-        // reactor owns cleanup either way.
-        let _ = conn.stream.set_nonblocking(true);
-    }
+    // Restore readiness mode even after a failed write; the reactor
+    // owns cleanup either way.
+    let _ = conn.stream.set_nonblocking(true);
     conn.out.clear();
     result
 }
@@ -975,6 +635,8 @@ fn flush_output(conn: &mut Connection, worker_config: &WorkerConfig) -> io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+    use std::net::TcpStream;
 
     #[test]
     fn queue_sheds_above_depth_and_drains_after_close() {
@@ -1000,8 +662,6 @@ mod tests {
         assert!(config.preserialize);
         assert!(config.recorder, "tracing ships on by default");
         assert_eq!(config.recorder_cap, 0, "0 = env/default capacity");
-        #[cfg(target_os = "linux")]
-        assert_eq!(config.transport, Transport::Reactor);
     }
 
     /// A chunked upload behind a batch whose write failed is not
@@ -1030,7 +690,6 @@ mod tests {
             max_requests_per_connection: 0,
             pipeline_batch: 8,
             request_timeout: Duration::from_secs(5),
-            nonblocking: false,
             stop: Arc::new(AtomicBool::new(false)),
         };
         let ctx = crate::routes::tests::ctx();
@@ -1040,12 +699,5 @@ mod tests {
         let mut unread = Vec::new();
         let _ = conn.stream.read_to_end(&mut unread);
         assert_eq!(unread, body, "the upload body was never read");
-    }
-
-    #[test]
-    fn transport_tokens_parse() {
-        assert_eq!(Transport::parse("reactor"), Some(Transport::Reactor));
-        assert_eq!(Transport::parse("threaded"), Some(Transport::Threaded));
-        assert_eq!(Transport::parse("epoll"), None);
     }
 }

@@ -27,8 +27,6 @@
 //! connections, and exits once every in-flight connection has been
 //! returned by the workers.
 
-#![cfg(target_os = "linux")]
-
 use crate::conn::{Connection, Taken};
 use crate::http::{Request, Response, WireResponse};
 use crate::pool::{Job, Queue, WorkerConfig};
@@ -538,7 +536,7 @@ impl Reactor {
     }
 }
 
-/// The worker loop for the reactor transport: pop parsed jobs,
+/// The worker loop: pop parsed jobs,
 /// process the request (and any pipelined successors), write, give
 /// the connection back.
 pub fn reactor_worker(

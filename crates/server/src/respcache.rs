@@ -1,5 +1,5 @@
-//! Sharded LRU cache of pre-serialized responses, keyed by the
-//! canonical query.
+//! LRU cache of pre-serialized responses, keyed by the canonical
+//! query — the serving path's only response memo.
 //!
 //! Only successful `GET /v1/*` responses are cached — `/healthz` and
 //! `/metrics` must always be fresh, errors should retry the real
@@ -7,26 +7,20 @@
 //! [`WireResponse`]s, so a hit is two `Arc` bumps and a `memcpy` onto
 //! the wire — never a re-render.
 //!
-//! Two properties matter on the hot path and are tested here:
-//!
-//! - **Sharding**: keys hash (FNV-1a) onto independent locks, so
-//!   concurrent workers hitting different artifacts never serialize
-//!   on one mutex.
-//! - **O(1) eviction**: each shard threads an intrusive
-//!   doubly-linked recency list through a slot arena; get, put, and
-//!   evict are all constant-time (the previous implementation scanned
-//!   every entry for the LRU victim on each eviction).
+//! One mutex guards the whole cache; the critical section is a hash
+//! probe plus an O(1) relink of an intrusive doubly-linked recency
+//! list threaded through a slot arena, so get, put and evict are all
+//! constant-time.
 
 use crate::http::{Request, WireResponse};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Sentinel for "no slot" in the intrusive list.
 const NIL: usize = usize::MAX;
 
 /// Running hit/miss/eviction totals for one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a live entry.
     pub hits: u64,
@@ -36,17 +30,14 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// A bounded, sharded LRU map from canonical request key to a
-/// pre-serialized response.
+/// A bounded LRU map from canonical request key to a pre-serialized
+/// response.
 pub struct ResponseCache {
-    shards: Vec<Mutex<Shard>>,
-    per_shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    lru: Mutex<Lru>,
+    capacity: usize,
 }
 
-/// One slot in a shard's arena: the entry plus its recency-list links.
+/// One slot in the arena: the entry plus its recency-list links.
 struct Slot {
     key: String,
     value: WireResponse,
@@ -55,7 +46,7 @@ struct Slot {
 }
 
 #[derive(Default)]
-struct Shard {
+struct Lru {
     map: HashMap<String, usize>,
     slots: Vec<Slot>,
     free: Vec<usize>,
@@ -63,14 +54,15 @@ struct Shard {
     head: usize,
     /// Least recently used — the eviction victim.
     tail: usize,
+    stats: CacheStats,
 }
 
-impl Shard {
+impl Lru {
     fn new() -> Self {
-        Shard {
+        Lru {
             head: NIL,
             tail: NIL,
-            ..Shard::default()
+            ..Lru::default()
         }
     }
 
@@ -97,135 +89,91 @@ impl Shard {
     }
 }
 
-/// FNV-1a, for shard selection (stable, dependency-free, good enough
-/// dispersion over short ASCII keys).
-fn fnv1a(key: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in key.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 impl ResponseCache {
-    /// A cache of `shards` independent LRU shards holding `capacity`
-    /// entries in total (`capacity == 0` disables caching). Shard
-    /// count is clamped to at least 1; per-shard capacity rounds up,
-    /// so the effective total may slightly exceed `capacity`.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard_capacity = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(shards)
-        };
+    /// A cache holding at most `capacity` entries (`capacity == 0`
+    /// disables caching).
+    pub fn new(capacity: usize) -> Self {
         ResponseCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            per_shard_capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            lru: Mutex::new(Lru::new()),
+            capacity,
         }
     }
 
-    /// Whether this request/response pair is cacheable at all. Job
-    /// endpoints are mutable state (status advances, results appear)
-    /// and must never be served from cache.
-    pub fn cacheable(request: &Request, status: u16) -> bool {
+    /// Whether this request's successful (200) response may be
+    /// cached. Job endpoints are mutable state (status advances,
+    /// results appear) and must never be served from cache.
+    pub fn cacheable(request: &Request) -> bool {
         request.method == "GET"
             && request.path.starts_with("/v1/")
             && !request.path.starts_with("/v1/jobs")
-            && status == 200
     }
 
-    fn shard(&self, key: &str) -> &Mutex<Shard> {
-        &self.shards[(fnv1a(key) % self.shards.len() as u64) as usize]
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<WireResponse> {
-        let mut shard = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let Some(&index) = shard.map.get(key) else {
-            drop(shard);
-            self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut lru = self.lock();
+        let Some(&index) = lru.map.get(key) else {
+            lru.stats.misses += 1;
             return None;
         };
-        shard.unlink(index);
-        shard.push_front(index);
-        let value = shard.slots[index].value.clone();
-        drop(shard);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(value)
+        lru.stats.hits += 1;
+        lru.unlink(index);
+        lru.push_front(index);
+        Some(lru.slots[index].value.clone())
     }
 
-    /// Inserts `value` under `key`, evicting the shard's
-    /// least-recently-used entry when full. All O(1).
+    /// Inserts `value` under `key`, evicting the least-recently-used
+    /// entry when full. All O(1).
     pub fn put(&self, key: &str, value: WireResponse) {
-        if self.per_shard_capacity == 0 {
+        if self.capacity == 0 {
             return;
         }
-        let mut shard = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(&index) = shard.map.get(key) {
-            shard.slots[index].value = value;
-            shard.unlink(index);
-            shard.push_front(index);
+        let mut lru = self.lock();
+        if let Some(&index) = lru.map.get(key) {
+            lru.slots[index].value = value;
+            lru.unlink(index);
+            lru.push_front(index);
             return;
         }
-        let mut evicted = false;
-        if shard.map.len() >= self.per_shard_capacity {
-            let victim = shard.tail;
-            shard.unlink(victim);
-            let key = std::mem::take(&mut shard.slots[victim].key);
-            shard.map.remove(&key);
-            shard.free.push(victim);
-            evicted = true;
+        if lru.map.len() >= self.capacity {
+            let victim = lru.tail;
+            lru.unlink(victim);
+            let key = std::mem::take(&mut lru.slots[victim].key);
+            lru.map.remove(&key);
+            lru.free.push(victim);
+            lru.stats.evictions += 1;
         }
-        let index = match shard.free.pop() {
+        let index = match lru.free.pop() {
             Some(index) => {
-                shard.slots[index].key = key.to_string();
-                shard.slots[index].value = value;
+                lru.slots[index].key = key.to_string();
+                lru.slots[index].value = value;
                 index
             }
             None => {
-                shard.slots.push(Slot {
+                lru.slots.push(Slot {
                     key: key.to_string(),
                     value,
                     prev: NIL,
                     next: NIL,
                 });
-                shard.slots.len() - 1
+                lru.slots.len() - 1
             }
         };
-        shard.push_front(index);
-        shard.map.insert(key.to_string(), index);
-        drop(shard);
-        if evicted {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        lru.push_front(index);
+        lru.map.insert(key.to_string(), index);
     }
 
     /// Point-in-time hit/miss/eviction totals.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.lock().stats
     }
 
-    /// Number of cached responses across all shards.
+    /// Number of cached responses.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
-            .sum()
+        self.lock().map.len()
     }
 
     /// Whether the cache is empty.
@@ -247,10 +195,9 @@ mod tests {
         String::from_utf8_lossy(wire.body()).into_owned()
     }
 
-    /// Single shard so the LRU order is fully deterministic.
     #[test]
     fn hit_refreshes_recency() {
-        let cache = ResponseCache::new(2, 1);
+        let cache = ResponseCache::new(2);
         cache.put("a", wire("a"));
         cache.put("b", wire("b"));
         // Touch "a" so "b" is the LRU victim.
@@ -264,7 +211,7 @@ mod tests {
 
     #[test]
     fn eviction_chain_is_exact_lru_order() {
-        let cache = ResponseCache::new(3, 1);
+        let cache = ResponseCache::new(3);
         for key in ["a", "b", "c"] {
             cache.put(key, wire(key));
         }
@@ -280,7 +227,7 @@ mod tests {
 
     #[test]
     fn reinsert_updates_in_place() {
-        let cache = ResponseCache::new(1, 1);
+        let cache = ResponseCache::new(1);
         cache.put("k", wire("v1"));
         cache.put("k", wire("v2"));
         assert_eq!(cache.len(), 1);
@@ -290,14 +237,14 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables() {
-        let cache = ResponseCache::new(0, 4);
+        let cache = ResponseCache::new(0);
         cache.put("k", wire("v"));
         assert!(cache.is_empty());
     }
 
     #[test]
     fn stats_count_hits_misses_evictions() {
-        let cache = ResponseCache::new(2, 1);
+        let cache = ResponseCache::new(2);
         assert!(cache.get("a").is_none());
         cache.put("a", wire("a"));
         assert!(cache.get("a").is_some());
@@ -315,22 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_the_keyspace() {
-        // Headroom (32 per shard for 64 keys) because FNV does not
-        // balance shards perfectly; what matters is that no shard
-        // evicts while the total stays within capacity.
-        let cache = ResponseCache::new(256, 8);
-        for i in 0..64 {
-            cache.put(&format!("key-{i}"), wire("x"));
-        }
-        assert_eq!(cache.len(), 64, "distinct keys all fit within capacity");
-        assert_eq!(cache.stats().evictions, 0);
-        for i in 0..64 {
-            assert!(cache.get(&format!("key-{i}")).is_some(), "key-{i}");
-        }
-    }
-
-    #[test]
     fn cacheability_rules() {
         let req = |method: &str, path: &str| Request {
             method: method.into(),
@@ -341,10 +272,10 @@ mod tests {
             chunked: false,
             trace: crate::trace::ReqTrace::default(),
         };
-        assert!(ResponseCache::cacheable(&req("GET", "/v1/table/2"), 200));
-        assert!(!ResponseCache::cacheable(&req("GET", "/healthz"), 200));
-        assert!(!ResponseCache::cacheable(&req("GET", "/metrics"), 200));
-        assert!(!ResponseCache::cacheable(&req("POST", "/v1/sweep"), 200));
-        assert!(!ResponseCache::cacheable(&req("GET", "/v1/table/2"), 500));
+        assert!(ResponseCache::cacheable(&req("GET", "/v1/table/2")));
+        assert!(!ResponseCache::cacheable(&req("GET", "/healthz")));
+        assert!(!ResponseCache::cacheable(&req("GET", "/metrics")));
+        assert!(!ResponseCache::cacheable(&req("POST", "/v1/sweep")));
+        assert!(!ResponseCache::cacheable(&req("GET", "/v1/jobs/j1")));
     }
 }

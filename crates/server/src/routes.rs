@@ -5,27 +5,21 @@
 //! panic (or a genuine handler bug) becomes a 500 for that one
 //! request and never takes down a pool worker.
 //!
-//! [`handle`] returns a [`WireResponse`] — the pre-serialized form —
-//! and resolves it through three tiers, cheapest first:
-//!
-//! 1. the **artifact catalog** (immutable pre-serialized bodies for
-//!    the finite default-scale artifact space, `/healthz`, and
-//!    `/v1/version`),
-//! 2. the **sharded LRU response cache** (everything else under
-//!    `GET /v1/*`),
-//! 3. the real handler, whose successful output is then published
-//!    into whichever tier it is eligible for.
+//! [`handle`] returns a [`WireResponse`] — the pre-serialized form.
+//! Cacheable requests (`GET /v1/*` outside `/v1/jobs`) look in the
+//! LRU response cache first; a miss runs the real handler and
+//! publishes its successful output there. Behind the handlers, the
+//! [`ProfileStore`] memoizes every profile, so these two tiers are the
+//! only memos on the serving path.
 //!
 //! Hot-path telemetry goes through [`HotMetrics`]: striped counters
 //! and histograms resolved **once** at server start, so per-request
 //! accounting is a relaxed `fetch_add` on a thread-local stripe —
 //! never a registry lock.
 
-use crate::artifacts::ArtifactCatalog;
 use crate::http::{Request, Response, WireResponse};
 use crate::limit::Semaphore;
 use crate::respcache::ResponseCache;
-use crate::storefront::StoreFront;
 use crate::trace::{us32, StageTrace};
 use leakage_experiments::query::{self, QueryError, SweepPoint};
 use leakage_experiments::{CacheProfile, ProfileStore, Table};
@@ -34,9 +28,7 @@ use leakage_jobs::{CancelOutcome, JobFabric, JobSpec, ResultError, SubmitError};
 use leakage_telemetry::json::{self, Json};
 use leakage_telemetry::prometheus_text;
 use leakage_telemetry::{registry, Gauge, Histogram, StripedCounter};
-use leakage_telemetry::{
-    FlightRecorder, RequestRecord, FLAG_CACHE_HIT, FLAG_CATALOG_HIT, FLAG_PANIC, FLAG_SHED,
-};
+use leakage_telemetry::{FlightRecorder, RequestRecord, FLAG_CACHE_HIT, FLAG_PANIC, FLAG_SHED};
 use leakage_workloads::{Scale, SUITE_NAMES};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -86,7 +78,6 @@ pub struct HotMetrics {
     latency: HashMap<&'static str, Arc<Histogram>>,
     cache_hits: Arc<StripedCounter>,
     cache_misses: Arc<StripedCounter>,
-    catalog_hits: Arc<StripedCounter>,
     /// 2xx responses written.
     pub responses_2xx: Arc<StripedCounter>,
     /// 4xx responses written.
@@ -130,7 +121,6 @@ impl HotMetrics {
             latency,
             cache_hits: reg.striped_counter("server_response_cache_hits_total"),
             cache_misses: reg.striped_counter("server_response_cache_misses_total"),
-            catalog_hits: reg.striped_counter("server_catalog_hits_total"),
             responses_2xx: reg.striped_counter("server_responses_2xx_total"),
             responses_4xx: reg.striped_counter("server_responses_4xx_total"),
             responses_5xx: reg.striped_counter("server_responses_5xx_total"),
@@ -168,13 +158,8 @@ impl HotMetrics {
 pub struct RouteContext {
     /// The memoized profile store backing every simulation query.
     pub store: &'static ProfileStore,
-    /// Lock-striped read front over the store (profile + sweep hot
-    /// path).
-    pub front: Arc<StoreFront>,
-    /// Sharded LRU response cache.
+    /// LRU cache of serialized `GET /v1/*` responses.
     pub cache: Arc<ResponseCache>,
-    /// Pre-serialized artifact catalog.
-    pub catalog: Arc<ArtifactCatalog>,
     /// Concurrency limit for simulation-backed GETs.
     pub sim_limit: Arc<Semaphore>,
     /// Concurrency limit for sweep batches.
@@ -200,37 +185,28 @@ pub struct RouteContext {
     pub info: ServerInfo,
 }
 
-/// Server-level facts for `/healthz`: fixed at startup (transport,
-/// worker count) or read live through an injected probe (queue
-/// depth — the transports own their queues, so they install the probe
-/// after construction).
+/// Server-level facts for `/healthz`: fixed at startup (worker
+/// count) or read live through a probe (admission-queue depth).
 pub struct ServerInfo {
     started: Instant,
-    transport: &'static str,
     workers: usize,
-    queue_len: OnceLock<Box<dyn Fn() -> usize + Send + Sync>>,
+    queue_len: Box<dyn Fn() -> usize + Send + Sync>,
 }
 
 impl ServerInfo {
-    /// Facts known at construction; the queue probe arrives later via
-    /// [`ServerInfo::set_queue_len`].
-    pub fn new(transport: &'static str, workers: usize) -> Self {
+    /// Facts for a pool of `workers` whose queue depth `queue_len`
+    /// reports.
+    pub fn new(workers: usize, queue_len: Box<dyn Fn() -> usize + Send + Sync>) -> Self {
         ServerInfo {
             started: Instant::now(),
-            transport,
             workers,
-            queue_len: OnceLock::new(),
+            queue_len,
         }
     }
 
-    /// Installs the live queue-depth probe (first caller wins).
-    pub fn set_queue_len(&self, probe: Box<dyn Fn() -> usize + Send + Sync>) {
-        let _ = self.queue_len.set(probe);
-    }
-
-    /// Current admission-queue depth; 0 before the probe is installed.
+    /// Current admission-queue depth.
     pub fn queue_len(&self) -> usize {
-        self.queue_len.get().map_or(0, |probe| probe())
+        (self.queue_len)()
     }
 
     /// Whole seconds since server start.
@@ -257,33 +233,7 @@ pub fn route_name(request: &Request) -> &'static str {
     }
 }
 
-/// Whether this request resolves inside the catalog's finite
-/// pre-serialized space: constant bodies, or a default-scale artifact
-/// in a known format.
-fn catalog_eligible(request: &Request, ctx: &RouteContext) -> bool {
-    if !ctx.catalog.enabled() || request.method != "GET" {
-        return false;
-    }
-    match request.path.as_str() {
-        // `/healthz` left the catalog when it became a live snapshot
-        // (uptime, queue depth); `/v1/version` is still constant.
-        "/v1/version" => request.query.is_empty(),
-        "/v1/table/1" | "/v1/table/2" | "/v1/table/3" | "/v1/figure/7" | "/v1/figure/8"
-        | "/v1/figure/9" => request.query.iter().all(|(k, v)| match k.as_str() {
-            // Compare by cycles: `scale=test` and `scale=200000` are
-            // the same artifact.
-            "scale" => {
-                Scale::parse_arg(v).map(Scale::cycles)
-                    == Some(ctx.catalog.default_scale().cycles())
-            }
-            "format" => v == "json" || v == "csv",
-            _ => false,
-        }),
-        _ => false,
-    }
-}
-
-/// Routes one request to its handler with catalog/cache lookup and
+/// Routes one request to its handler with response-cache lookup and
 /// panic isolation. Always returns a response — a panicking handler
 /// yields a 500. `stage` accumulates latency attribution (permit
 /// wait, store time, hit/panic flags) for the flight recorder; pass
@@ -292,22 +242,18 @@ pub fn handle(request: &Request, ctx: &RouteContext, stage: &StageTrace) -> Wire
     let route = route_name(request);
     ctx.metrics.count_route(route);
 
-    let key = request.canonical_key();
-    let in_catalog_space = catalog_eligible(request, ctx);
-    if in_catalog_space {
-        if let Some(hit) = ctx.catalog.get(&key) {
-            ctx.metrics.catalog_hits.inc();
-            stage.catalog_hit.set(true);
-            return hit;
-        }
-    } else if ResponseCache::cacheable(request, 200) {
+    let key = if ResponseCache::cacheable(request) {
+        let key = request.canonical_key();
         if let Some(hit) = ctx.cache.get(&key) {
             ctx.metrics.cache_hits.inc();
             stage.cache_hit.set(true);
             return hit;
         }
         ctx.metrics.cache_misses.inc();
-    }
+        Some(key)
+    } else {
+        None
+    };
 
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         leakage_faults::panic_point(&format!("server/handler/{route}"));
@@ -321,49 +267,49 @@ pub fn handle(request: &Request, ctx: &RouteContext, stage: &StageTrace) -> Wire
             Response::error(500, "handler panicked; see server logs")
         }
     };
-    let status = response.status;
     let wire = response.into_wire();
-    if in_catalog_space && status == 200 {
-        ctx.catalog.insert(&key, wire.clone());
-    } else if ResponseCache::cacheable(request, status) {
+    if let Some(key) = key.filter(|_| wire.status() == 200) {
         ctx.cache.put(&key, wire.clone());
     }
     wire
 }
 
-/// Fills the catalog by pushing every artifact in its finite space
-/// through the normal [`handle`] path — the bytes in the catalog are
-/// by construction the handler's (and hence the batch pipeline's)
-/// bytes. Called from a background thread at server start; safe to
-/// race with live traffic (first insert wins, all inserts identical).
-pub fn warm_catalog(ctx: &RouteContext) {
-    if !ctx.catalog.enabled() {
-        return;
-    }
-    let mut targets = vec![Request::get("/v1/version")];
-    let scale_arg = match ctx.catalog.default_scale() {
+/// The default-scale artifacts the server warms at startup: `/v1/version`
+/// plus every table and figure, each as default JSON, `format=csv` and
+/// an explicit `scale=` — 19 requests in all.
+fn warm_targets(default_scale: Scale) -> Vec<Request> {
+    let scale_arg = match default_scale {
         Scale::Test => "test".to_string(),
         Scale::Small => "small".to_string(),
         Scale::Paper => "paper".to_string(),
         Scale::Custom(cycles) => cycles.to_string(),
     };
-    let paths: Vec<String> = query::TABLE_IDS
+    let mut targets = vec![Request::get("/v1/version")];
+    let paths = query::TABLE_IDS
         .iter()
         .map(|id| format!("/v1/table/{id}"))
-        .chain(query::FIGURE_IDS.iter().map(|id| format!("/v1/figure/{id}")))
-        .collect();
-    for path in &paths {
+        .chain(query::FIGURE_IDS.iter().map(|id| format!("/v1/figure/{id}")));
+    for path in paths {
         for query in [
             vec![],
             vec![("format".to_string(), "csv".to_string())],
             vec![("scale".to_string(), scale_arg.clone())],
         ] {
-            let mut request = Request::get(path);
+            let mut request = Request::get(&path);
             request.query = query;
             targets.push(request);
         }
     }
-    for request in targets {
+    targets
+}
+
+/// Warms the response cache by pushing every [`warm_targets`] request
+/// through the normal [`handle`] path, so the cached bytes are by
+/// construction the handler's (and hence the batch pipeline's) bytes.
+/// Called from a background thread at server start; safe to race with
+/// live traffic (every insert for a key carries identical bytes).
+pub fn warm_cache(ctx: &RouteContext) {
+    for request in warm_targets(ctx.default_scale) {
         let _ = handle(&request, ctx, &StageTrace::default());
     }
 }
@@ -482,7 +428,7 @@ fn healthz(ctx: &RouteContext) -> Response {
             json::key("job_workers_connected") + &num_u64(connected.unwrap_or(0) as u64),
             json::key("job_worker_quorum") + &num_u64(ctx.job_worker_quorum as u64),
             json::key("uptime_s") + &num_u64(ctx.info.uptime_s()),
-            json::key("transport") + &json::string(ctx.info.transport),
+            json::key("transport") + &json::string("reactor"),
             json::key("workers") + &num_u64(ctx.info.workers as u64),
             json::key("queue_depth") + &num_u64(ctx.info.queue_len() as u64),
             json::key("inflight") + &num_u64(ctx.metrics.inflight.get()),
@@ -518,7 +464,6 @@ fn record_json(rec: &RequestRecord) -> String {
         json::key("shed") + bool_str(rec.flags & FLAG_SHED != 0),
         json::key("panicked") + bool_str(rec.flags & FLAG_PANIC != 0),
         json::key("cache_hit") + bool_str(rec.flags & FLAG_CACHE_HIT != 0),
-        json::key("catalog_hit") + bool_str(rec.flags & FLAG_CATALOG_HIT != 0),
     ])
 }
 
@@ -732,7 +677,7 @@ fn profile(request: &Request, ctx: &RouteContext, scale: Scale, stage: &StageTra
             return Response::error(400, &format!("unknown hierarchy {other:?}: only \"alpha\""))
         }
     }
-    match timed_store(stage, || ctx.front.fetch(benchmark, scale)) {
+    match timed_store(stage, || ctx.store.try_fetch(benchmark, scale)) {
         Ok(profile) => Response::json(
             200,
             json::object([
@@ -992,9 +937,8 @@ fn sweep(request: &Request, ctx: &RouteContext, stage: &StageTrace) -> Response 
         Err(response) => return response,
     };
     // All points validated; fan the batch out over the rayon pool.
-    // Profiles come through the striped front (so a hot benchmark is
-    // an uncontended read), and the store behind it memoizes, so the
-    // per-benchmark simulation cost is paid at most once per process.
+    // The store memoizes, so the per-benchmark simulation cost is paid
+    // at most once per process.
     // Rows render through `leakage_jobs::render_sweep_row` — the same
     // function the job workers use — so a sharded job's rows are
     // byte-identical to this path by construction.
@@ -1002,7 +946,7 @@ fn sweep(request: &Request, ctx: &RouteContext, stage: &StageTrace) -> Response 
         points
             .par_iter()
             .map(|point| {
-                let profile = ctx.front.fetch(&point.benchmark, scale)?;
+                let profile = ctx.store.try_fetch(&point.benchmark, scale)?;
                 let savings = query::sweep_point_profile(&profile, point);
                 Ok(leakage_jobs::render_sweep_row(
                     &point.benchmark,
@@ -1048,12 +992,12 @@ pub(crate) mod tests {
         .expect("start test fabric")
     }
 
-    fn ctx_with_catalog(preserialize: bool) -> RouteContext {
+    /// A fresh context over the global store, with a 32-entry cache
+    /// and an empty admission queue.
+    pub(crate) fn ctx() -> RouteContext {
         RouteContext {
             store: ProfileStore::global(),
-            front: Arc::new(StoreFront::new(ProfileStore::global(), 8)),
-            cache: Arc::new(ResponseCache::new(16, 1)),
-            catalog: Arc::new(ArtifactCatalog::new(preserialize, Scale::Test)),
+            cache: Arc::new(ResponseCache::new(32)),
             sim_limit: Arc::new(Semaphore::new(4)),
             sweep_limit: Arc::new(Semaphore::new(2)),
             default_scale: Scale::Test,
@@ -1063,7 +1007,7 @@ pub(crate) mod tests {
             jobs: test_fabric(),
             job_worker_quorum: 0,
             recorder: Some(Arc::new(FlightRecorder::new(64))),
-            info: ServerInfo::new("test", 0),
+            info: ServerInfo::new(0, Box::new(|| 0)),
         }
     }
 
@@ -1071,11 +1015,6 @@ pub(crate) mod tests {
     /// care about the response.
     fn handle(request: &Request, ctx: &RouteContext) -> WireResponse {
         super::handle(request, ctx, &StageTrace::default())
-    }
-
-    /// Catalog off, so tests exercise the LRU-cache tier.
-    pub(crate) fn ctx() -> RouteContext {
-        ctx_with_catalog(false)
     }
 
     fn get(path: &str, query: &[(&str, &str)]) -> Request {
@@ -1207,11 +1146,12 @@ pub(crate) mod tests {
 
     #[test]
     fn healthz_reports_live_server_facts() {
-        let ctx = ctx();
-        ctx.info.set_queue_len(Box::new(|| 7));
+        let mut ctx = ctx();
+        ctx.info = ServerInfo::new(3, Box::new(|| 7));
         let doc = json::parse(&body_text(&handle(&get("/healthz", &[]), &ctx))).unwrap();
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
-        assert_eq!(doc.get("transport").and_then(Json::as_str), Some("test"));
+        assert_eq!(doc.get("transport").and_then(Json::as_str), Some("reactor"));
+        assert_eq!(doc.get("workers").and_then(Json::as_f64), Some(3.0));
         assert_eq!(doc.get("queue_depth").and_then(Json::as_f64), Some(7.0));
         assert_eq!(doc.get("recorder_capacity").and_then(Json::as_f64), Some(64.0));
         let suite = doc.get("suite").and_then(Json::as_array).unwrap();
@@ -1332,7 +1272,7 @@ pub(crate) mod tests {
                 .and_then(|side| side.get("covers_timeline")),
             Some(&Json::Bool(true))
         );
-        assert!(!ctx.front.is_empty(), "profile went through the store front");
+        assert_eq!(ctx.cache.len(), 1, "the summary is cached");
         assert_eq!(handle(&get("/v1/profile/perlbmk", &[]), &ctx).status(), 404);
         assert_eq!(
             handle(&get("/v1/profile/gzip", &[("hierarchy", "mips")]), &ctx).status(),
@@ -1395,34 +1335,24 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn catalog_preserializes_default_scale_artifacts() {
-        let ctx = ctx_with_catalog(true);
-        let request = get("/v1/table/1", &[]);
-        let first = handle(&request, &ctx);
-        assert_eq!(first.status(), 200);
-        assert_eq!(ctx.catalog.len(), 1, "went to the catalog tier");
-        assert!(ctx.cache.is_empty(), "catalog space bypasses the LRU");
-        let again = handle(&request, &ctx);
-        assert_eq!(again.body(), first.body(), "byte-identical catalog hit");
-        // A non-default scale is outside the catalog space.
-        let custom = get("/v1/table/1", &[("scale", "12345")]);
-        assert_eq!(handle(&custom, &ctx).status(), 200);
-        assert_eq!(ctx.catalog.len(), 1);
-        assert_eq!(ctx.cache.len(), 1, "custom scale lands in the LRU");
-    }
-
-    #[test]
-    fn warm_catalog_fills_the_finite_space() {
-        let ctx = ctx_with_catalog(true);
-        warm_catalog(&ctx);
-        // version + 6 artifacts × 3 query variants (healthz is a live
-        // snapshot now, outside the catalog space).
-        assert_eq!(ctx.catalog.len(), 1 + 6 * 3);
-        // The warmed entry and a fresh compute agree byte-for-byte.
-        let request = get("/v1/table/2", &[]);
-        let catalog_hit = handle(&request, &ctx).to_bytes(true);
-        let fresh = handle(&request, &ctx_with_catalog(false)).to_bytes(true);
-        assert_eq!(catalog_hit, fresh);
+    fn warm_cache_fills_the_default_scale_artifacts() {
+        let ctx = ctx();
+        warm_cache(&ctx);
+        // version + 6 artifacts × 3 query variants.
+        let targets = warm_targets(Scale::Test);
+        assert_eq!(targets.len(), 1 + 6 * 3);
+        assert_eq!(ctx.cache.len(), targets.len());
+        assert_eq!(ctx.cache.stats().evictions, 0);
+        // Every warmed entry is byte-identical to uncached handler
+        // output (a zero-capacity cache never hits).
+        let mut uncached = super::tests::ctx();
+        uncached.cache = Arc::new(ResponseCache::new(0));
+        for request in &targets {
+            let warmed = ctx.cache.get(&request.canonical_key()).expect("warmed");
+            let fresh = handle(request, &uncached);
+            assert_eq!(fresh.status(), 200, "{}", request.path);
+            assert_eq!(warmed.to_bytes(true), fresh.to_bytes(true), "{}", request.path);
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   [`crate::routes`] via [`intervals_from_bytes`].
 //! - `Transfer-Encoding: chunked`: the body is **never** buffered
 //!   whole. The request completes at the end of its header block, the
-//!   worker takes exclusive ownership of the socket (both transports
-//!   guarantee a connection is owned by exactly one worker at a
-//!   time), and [`serve_upload`] pumps wire bytes through a
+//!   worker takes exclusive ownership of the socket (the reactor's
+//!   `EPOLLONESHOT` registration guarantees a connection is owned by
+//!   exactly one worker at a time), and [`serve_upload`] pumps wire
+//!   bytes through a
 //!   [`ChunkedDecoder`] → [`StreamDecoder`] → extractor pipeline.
 //!   Peak memory is one read chunk plus the decoder's partial-record
 //!   tail plus the extractor's per-resident-line state — independent
@@ -164,13 +165,10 @@ pub(crate) fn serve_upload(
     let route = routes::route_name(request);
     ctx.metrics.count_route(route);
 
-    // The upload path block-reads; reactor sockets are nonblocking and
-    // the threaded transport uses short read slices, so both modes are
-    // saved and restored around the pump.
-    let saved_timeout = conn.stream.read_timeout().ok().flatten();
-    if worker_config.nonblocking {
-        let _ = conn.stream.set_nonblocking(false);
-    }
+    // The upload path block-reads a reactor-owned nonblocking socket:
+    // switch to blocking reads with a timeout for the pump, and back
+    // to readiness mode before the connection returns.
+    let _ = conn.stream.set_nonblocking(false);
     let _ = conn
         .stream
         .set_read_timeout(Some(worker_config.request_timeout));
@@ -227,10 +225,8 @@ pub(crate) fn serve_upload(
         });
     }
 
-    let _ = conn.stream.set_read_timeout(saved_timeout);
-    if worker_config.nonblocking {
-        let _ = conn.stream.set_nonblocking(true);
-    }
+    let _ = conn.stream.set_read_timeout(None);
+    let _ = conn.stream.set_nonblocking(true);
     conn
 }
 

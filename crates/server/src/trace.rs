@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use leakage_telemetry::{RequestRecord, FLAG_CACHE_HIT, FLAG_CATALOG_HIT, FLAG_PANIC, FLAG_SHED};
+use leakage_telemetry::{RequestRecord, FLAG_CACHE_HIT, FLAG_PANIC, FLAG_SHED};
 
 /// Per-request trace context, carried inside `Request` from the
 /// transport's parser through the admission queue to the worker.
@@ -110,8 +110,6 @@ pub struct StageTrace {
     pub store_us: Cell<u32>,
     /// Served from the response cache.
     pub cache_hit: Cell<bool>,
-    /// Served from the pre-serialized artifact catalog.
-    pub catalog_hit: Cell<bool>,
     /// Shed (no permit / queue full).
     pub shed: Cell<bool>,
     /// The handler panicked (answered 500).
@@ -130,9 +128,6 @@ impl StageTrace {
         }
         if self.cache_hit.get() {
             flags |= FLAG_CACHE_HIT;
-        }
-        if self.catalog_hit.get() {
-            flags |= FLAG_CATALOG_HIT;
         }
         flags
     }

@@ -60,9 +60,7 @@ pub use metrics::{
     StripedCounter, COUNTER_STRIPES,
 };
 pub use prom::prometheus_text;
-pub use recorder::{
-    FlightRecorder, RequestRecord, FLAG_CACHE_HIT, FLAG_CATALOG_HIT, FLAG_PANIC, FLAG_SHED,
-};
+pub use recorder::{FlightRecorder, RequestRecord, FLAG_CACHE_HIT, FLAG_PANIC, FLAG_SHED};
 pub use span::{current_path, span, span_under, span_report, span_tree, SpanGuard, SpanNode, SpanStat};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -54,8 +54,6 @@ pub const FLAG_SHED: u8 = 1 << 0;
 pub const FLAG_PANIC: u8 = 1 << 1;
 /// Record flag: served from the response cache.
 pub const FLAG_CACHE_HIT: u8 = 1 << 2;
-/// Record flag: served from the pre-serialized artifact catalog.
-pub const FLAG_CATALOG_HIT: u8 = 1 << 3;
 
 /// One request's structured trace: identity, outcome, sizes, and the
 /// per-stage latency attribution in microseconds. Stages are disjoint

@@ -1,42 +1,43 @@
 #!/usr/bin/env bash
-# Reproduces results/BENCH_serving_trajectory.json: the serving hot
-# path measured after each optimization step, on one machine, with the
-# same closed-loop workload throughout (the CI loadgen mix).
+# Reproduces results/BENCH_serving_trajectory.json: serving goodput,
+# shed 503s and latency of the shipping configuration, on one machine,
+# with the CI loadgen mix at pipeline depth 8.
 #
-#   1. baseline        threaded transport, connection-per-request
-#                      loadgen, no sharding, no pre-serialization
-#                      (the PR-5 serving model)
-#   2. keepalive       same server, HTTP/1.1 keep-alive + pipelining
-#                      in the loadgen
-#   3. reactor         epoll reactor transport replaces
-#                      thread-per-admitted-connection
-#   4. sharding        lock-striped store front, sharded response
-#                      cache, striped counters (8 shards)
-#   5. preserialize    pre-serialized artifact catalog on (the
-#                      shipping default)
-#   6. notrace         same configuration with the flight recorder
-#                      off (--no-recorder) — the preserialize/notrace
-#                      pair bounds the request-tracing overhead
+#   levels           one run each at 4, 64 and 256 keep-alive
+#                    connections: goodput (2xx/s), shed 503s, p50, p99
+#   tracing_overhead five interleaved tracing-on/tracing-off
+#                    (--no-recorder) pairs at 4 connections; the median
+#                    of the per-pair goodput ratios is the tracing cost
+#   ab               only when a baseline `leakage-server` binary is
+#                    given: five interleaved baseline/change pairs at
+#                    each connection count, alternating which run goes
+#                    first, with the median per-pair goodput ratio
+#                    (change / baseline)
 #
-# After the trajectory it runs BENCH_PAIRS (default 5) interleaved
-# tracing-on/tracing-off pairs and records the median of the per-pair
-# throughput ratios as `tracing_overhead.median_ratio` — the robust
-# tracing-cost estimate (single run pairs are drift-dominated on
-# shared hardware).
+# Single runs drift by ±15% on shared hardware; both runs of a pair see
+# the same machine phase, so the per-pair ratio cancels the drift and
+# the median across pairs discards outlier phases.
 #
-# Usage: scripts/bench_serving.sh [out.json]
-#   BENCH_SECONDS (default 5), BENCH_CONNECTIONS (default 4),
-#   BENCH_PIPELINE (default 8) tune the loadgen; BENCH_PAIRS /
-#   BENCH_PAIR_SECONDS (default 4) tune the overhead gate.
+# Usage: scripts/bench_serving.sh [out.json] [baseline-leakage-server]
+#   BENCH_SECONDS (default 5) sets the length of each `levels` run;
+#   paired runs take 4 s each.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-results/BENCH_serving_trajectory.json}"
-SECONDS_PER_STEP="${BENCH_SECONDS:-5}"
-CONNECTIONS="${BENCH_CONNECTIONS:-4}"
-PIPELINE="${BENCH_PIPELINE:-8}"
+BASELINE="${2:-}"
+LEVEL_SECONDS="${BENCH_SECONDS:-5}"
+PAIR_SECONDS=4
+PAIRS=5
+PIPELINE=8
+CONNECTION_LEVELS=(4 64 256)
 MIX='/v1/table/2?scale=test:8,/healthz:1,/metrics:1'
+
+if [ -n "$BASELINE" ] && [ ! -x "$BASELINE" ]; then
+  echo "baseline server $BASELINE is not an executable" >&2
+  exit 2
+fi
 
 cargo build --release -p leakage-server --bins
 
@@ -45,13 +46,13 @@ LOADGEN=./target/release/loadgen
 WORK="$(mktemp -d)"
 trap 'kill $(cat "$WORK"/server.pid 2>/dev/null) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-# run_step <name> "<server flags>" "<loadgen flags>"
-run_step() {
-  local name="$1" server_flags="$2" loadgen_flags="$3"
+# run <name> <server binary> <connections> <seconds> [server flags...]
+run() {
+  local name="$1" server="$2" connections="$3" seconds="$4"
+  shift 4
   local log="$WORK/$name.log"
 
-  # shellcheck disable=SC2086  # flags are intentionally word-split
-  $SERVER --addr 127.0.0.1:0 --scale test $server_flags > "$log" 2>&1 &
+  "$server" --addr 127.0.0.1:0 --scale test "$@" > "$log" 2>&1 &
   echo $! > "$WORK/server.pid"
   for _ in $(seq 1 100); do
     grep -q '^listening on ' "$log" && break
@@ -61,118 +62,124 @@ run_step() {
   local addr
   addr=$(sed -n 's/^listening on //p' "$log" | head -n1)
 
-  # One warm-up pass so every step measures serving, not first-touch
-  # simulation of the profile suite.
+  # Measure serving, not first-touch simulation of the profile suite.
   curl -fsS "http://$addr/v1/table/2?scale=test" > /dev/null
 
-  # shellcheck disable=SC2086
-  $LOADGEN --addr "$addr" --connections "$CONNECTIONS" \
-    --seconds "$SECONDS_PER_STEP" --mix "$MIX" $loadgen_flags \
-    > "$WORK/$name.json"
+  "$LOADGEN" --addr "$addr" --connections "$connections" --seconds "$seconds" \
+    --pipeline "$PIPELINE" --mix "$MIX" > "$WORK/$name.json"
 
   kill "$(cat "$WORK/server.pid")" 2>/dev/null || true
   wait "$(cat "$WORK/server.pid")" 2>/dev/null || true
   rm -f "$WORK/server.pid"
 
-  python3 - "$name" "$server_flags" "$loadgen_flags" "$WORK/$name.json" <<'EOF'
+  python3 - "$name" "$WORK/$name.json" <<'EOF'
 import json, sys
-name, server_flags, loadgen_flags, path = sys.argv[1:5]
-report = json.load(open(path))
-print('%-12s %9.0f req/s  p50 %6d us  p99 %6d us  errors %d'
-      % (name, report['throughput_rps'], report['p50_us'],
-         report['p99_us'], report['transport_errors']))
+name, path = sys.argv[1:3]
+r = json.load(open(path))
+print('%-18s goodput %9.0f/s  503s %6d  p50 %6d us  p99 %6d us  errors %d'
+      % (name, r['goodput_rps'], r['status_5xx'], r['p50_us'], r['p99_us'],
+         r['transport_errors']))
 EOF
 }
 
-run_step baseline    '--transport threaded --cache-shards 1 --no-preserialize' '--close'
-run_step keepalive   '--transport threaded --cache-shards 1 --no-preserialize' "--pipeline $PIPELINE"
-run_step reactor     '--transport reactor --cache-shards 1 --no-preserialize'  "--pipeline $PIPELINE"
-run_step sharding    '--transport reactor --cache-shards 8 --no-preserialize'  "--pipeline $PIPELINE"
-run_step preserialize '--transport reactor --cache-shards 8'                   "--pipeline $PIPELINE"
-run_step notrace     '--transport reactor --cache-shards 8 --no-recorder'      "--pipeline $PIPELINE"
-
-# Tracing-overhead gate. A single on/off run pair is meaningless on a
-# shared box: identical configs differ by ±15% between runs (host
-# phases, scheduler modes). Interleaved pairs are robust — both runs
-# of a pair see the same machine phase, so the per-pair ratio cancels
-# the drift, and the median across pairs discards outlier phases.
-PAIRS="${BENCH_PAIRS:-5}"
-PAIR_SECONDS="${BENCH_PAIR_SECONDS:-4}"
-FULL_SECONDS="$SECONDS_PER_STEP"
-SECONDS_PER_STEP="$PAIR_SECONDS"
-for i in $(seq 1 "$PAIRS"); do
-  run_step "trace_on_$i"  '--transport reactor --cache-shards 8'               "--pipeline $PIPELINE"
-  run_step "trace_off_$i" '--transport reactor --cache-shards 8 --no-recorder' "--pipeline $PIPELINE"
+for c in "${CONNECTION_LEVELS[@]}"; do
+  run "level_$c" "$SERVER" "$c" "$LEVEL_SECONDS"
 done
-SECONDS_PER_STEP="$FULL_SECONDS"
 
-python3 - "$WORK" "$OUT" "$SECONDS_PER_STEP" "$CONNECTIONS" "$PIPELINE" "$PAIRS" "$PAIR_SECONDS" <<'EOF'
-import json, sys
-work, out, seconds, connections, pipeline, pairs, pair_seconds = sys.argv[1:8]
-steps = [
-    ('baseline',
-     'threaded transport, connection-per-request load, unsharded, no catalog',
-     '--transport threaded --cache-shards 1 --no-preserialize', '--close'),
-    ('keepalive',
-     'HTTP/1.1 keep-alive + pipelining in the load generator',
-     '--transport threaded --cache-shards 1 --no-preserialize',
-     f'--pipeline {pipeline}'),
-    ('reactor',
-     'epoll reactor transport replaces thread-per-admitted-connection',
-     '--transport reactor --cache-shards 1 --no-preserialize',
-     f'--pipeline {pipeline}'),
-    ('sharding',
-     'lock-striped store front + sharded response cache + striped counters',
-     '--transport reactor --cache-shards 8 --no-preserialize',
-     f'--pipeline {pipeline}'),
-    ('preserialize',
-     'pre-serialized artifact catalog (shipping default)',
-     '--transport reactor --cache-shards 8', f'--pipeline {pipeline}'),
-    ('notrace',
-     'flight recorder + request tracing off (tracing-overhead control)',
-     '--transport reactor --cache-shards 8 --no-recorder',
-     f'--pipeline {pipeline}'),
-]
-entries = []
-for name, description, server_flags, loadgen_flags in steps:
-    report = json.load(open(f'{work}/{name}.json'))
-    entries.append({
-        'step': name,
-        'description': description,
-        'server_flags': server_flags,
-        'loadgen_flags': (f'--connections {connections} --seconds {seconds} '
-                          + loadgen_flags),
-        'report': report,
-    })
+for i in $(seq 1 "$PAIRS"); do
+  run "trace_on_$i" "$SERVER" 4 "$PAIR_SECONDS"
+  run "trace_off_$i" "$SERVER" 4 "$PAIR_SECONDS" --no-recorder
+done
 
-# Tracing overhead from the interleaved pairs: the per-pair on/off
-# ratio cancels host drift (both runs of a pair hit the same machine
-# phase); the median across pairs rejects outlier phases. The single
-# preserialize/notrace pair above stays in `steps` for the trajectory
-# but is too noisy on shared hardware to gate on by itself.
+if [ -n "$BASELINE" ]; then
+  for c in "${CONNECTION_LEVELS[@]}"; do
+    for i in $(seq 1 "$PAIRS"); do
+      if [ $((i % 2)) -eq 1 ]; then
+        run "ab_${c}_base_$i" "$BASELINE" "$c" "$PAIR_SECONDS"
+        run "ab_${c}_change_$i" "$SERVER" "$c" "$PAIR_SECONDS"
+      else
+        run "ab_${c}_change_$i" "$SERVER" "$c" "$PAIR_SECONDS"
+        run "ab_${c}_base_$i" "$BASELINE" "$c" "$PAIR_SECONDS"
+      fi
+    done
+  done
+fi
+
+python3 - "$WORK" "$OUT" "$LEVEL_SECONDS" "$PAIR_SECONDS" "$PAIRS" "$PIPELINE" "$MIX" \
+  "$BASELINE" "$(nproc)" "$(git describe --always --dirty 2>/dev/null || echo unknown)" \
+  "${CONNECTION_LEVELS[@]}" <<'EOF'
+import json, statistics, sys
+(work, out, level_seconds, pair_seconds, pairs, pipeline, mix, baseline,
+ nproc, describe) = sys.argv[1:11]
+levels = [int(c) for c in sys.argv[11:]]
 pairs = int(pairs)
-on_rps, off_rps = [], []
-for i in range(1, pairs + 1):
-    on_rps.append(json.load(open(f'{work}/trace_on_{i}.json'))['throughput_rps'])
-    off_rps.append(json.load(open(f'{work}/trace_off_{i}.json'))['throughput_rps'])
-ratios = sorted(on / off for on, off in zip(on_rps, off_rps))
-mid = len(ratios) // 2
-median = ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2
-overhead = {
+
+def report(name):
+    return json.load(open(f'{work}/{name}.json'))
+
+def summary(r):
+    return {'goodput_rps': r['goodput_rps'], 'shed_503': r['status_5xx'],
+            'p50_us': r['p50_us'], 'p99_us': r['p99_us'],
+            'transport_errors': r['transport_errors']}
+
+doc = {
+    'machine': {'nproc': int(nproc), 'git_describe': describe},
+    'workload': {'mix': mix, 'pipeline': int(pipeline),
+                 'server_flags': '--scale test'},
+    'levels': [],
+}
+for c in levels:
+    r = report(f'level_{c}')
+    doc['levels'].append({'connections': c, 'seconds': int(level_seconds),
+                          **summary(r), 'report': r})
+
+on = [report(f'trace_on_{i}')['goodput_rps'] for i in range(1, pairs + 1)]
+off = [report(f'trace_off_{i}')['goodput_rps'] for i in range(1, pairs + 1)]
+ratios = [a / b for a, b in zip(on, off)]
+doc['tracing_overhead'] = {
+    'connections': 4,
     'pairs': pairs,
     'seconds_per_run': int(pair_seconds),
-    'on_rps': on_rps,
-    'off_rps': off_rps,
+    'on_goodput_rps': on,
+    'off_goodput_rps': off,
     'pair_ratios': [round(r, 4) for r in ratios],
-    'median_ratio': round(median, 4),
+    'median_ratio': round(statistics.median(ratios), 4),
 }
-json.dump({'steps': entries, 'tracing_overhead': overhead},
-          open(out, 'w'), indent=2)
+
+if baseline:
+    ab = {'baseline_binary': baseline, 'pairs': pairs,
+          'seconds_per_run': int(pair_seconds),
+          'ratio': 'change goodput / baseline goodput', 'levels': []}
+    for c in levels:
+        rows = []
+        for i in range(1, pairs + 1):
+            base = summary(report(f'ab_{c}_base_{i}'))
+            change = summary(report(f'ab_{c}_change_{i}'))
+            rows.append({'first': 'baseline' if i % 2 else 'change',
+                         'baseline': base, 'change': change,
+                         'ratio': round(change['goodput_rps'] / base['goodput_rps'], 4)})
+        ab['levels'].append({
+            'connections': c,
+            'median_ratio': round(statistics.median(r['ratio'] for r in rows), 4),
+            'median_shed_503_baseline':
+                statistics.median(r['baseline']['shed_503'] for r in rows),
+            'median_shed_503_change':
+                statistics.median(r['change']['shed_503'] for r in rows),
+            'pairs': rows,
+        })
+    doc['ab'] = ab
+
+json.dump(doc, open(out, 'w'), indent=2)
 print(f'wrote {out}')
-by_step = {e['step']: e['report']['throughput_rps'] for e in entries}
-base = by_step['baseline']
-final = by_step['preserialize']
-print('trajectory: %.0f -> %.0f req/s (%.1fx)' % (base, final, final / base))
-print('tracing overhead (median of %d interleaved on/off pairs): %.1f%% of tracing-off'
-      % (pairs, 100.0 * median))
+for level in doc['levels']:
+    print('%4d connections: goodput %.0f/s, %d shed 503s, p99 %d us'
+          % (level['connections'], level['goodput_rps'], level['shed_503'],
+             level['p99_us']))
+print('tracing on/off median goodput ratio over %d pairs: %.3f'
+      % (pairs, doc['tracing_overhead']['median_ratio']))
+for level in doc.get('ab', {}).get('levels', []):
+    print('A/B %4d connections: median change/baseline goodput %.3f, '
+          'median 503s %s -> %s'
+          % (level['connections'], level['median_ratio'],
+             level['median_shed_503_baseline'], level['median_shed_503_change']))
 EOF

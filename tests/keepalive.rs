@@ -3,9 +3,7 @@
 //! per-connection request budgets, and panic isolation on a
 //! persistent connection.
 //!
-//! These run against whatever transport is the platform default (the
-//! epoll reactor on Linux, the threaded fallback elsewhere) — the
-//! protocol contract is transport-independent.
+//! These run against the server's one transport, the epoll reactor.
 
 use cache_leakage_limits::faults::{set_plane, Plane};
 use cache_leakage_limits::server::http::Client;

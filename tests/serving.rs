@@ -126,11 +126,11 @@ fn served_sweep_matches_query_api() {
 /// Saturating the admission queue sheds load with 503 + `Retry-After`
 /// while admitted requests still complete — and while saturated, the
 /// admission-exempt observability plane (`/healthz`, `/debug/*`)
-/// still answers 200 from the transport thread.
+/// still answers 200 from the reactor thread.
 #[test]
 fn saturated_admission_queue_sheds_with_retry_after() {
-    // The profile route: sheddable (not exempt), and not in the
-    // pre-serialized catalog space, so every first touch dispatches.
+    // The profile route: sheddable (not exempt), and not warmed into
+    // the response cache at startup, so every first touch dispatches.
     let _faults = FaultScope::new("server/handler/profile=latency:400");
     let server = Server::start(ServerConfig {
         workers: 1,
@@ -314,7 +314,7 @@ fn healthz_reports_server_facts() {
     let doc = json::parse(&health.text()).expect("healthz JSON parses");
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
     let transport = doc.get("transport").and_then(Json::as_str).expect("transport");
-    assert!(transport == "reactor" || transport == "threaded", "{transport}");
+    assert_eq!(transport, "reactor");
     assert_eq!(doc.get("workers").and_then(Json::as_f64), Some(3.0));
     assert!(doc.get("uptime_s").and_then(Json::as_f64).is_some());
     assert!(doc.get("queue_depth").and_then(Json::as_f64).is_some());
