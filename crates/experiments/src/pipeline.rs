@@ -329,22 +329,19 @@ pub fn profile_l2(bench: &mut Benchmark) -> CacheProfile {
 /// Used by the `ablation-line-centric` experiment to quantify how much
 /// the frame-vs-line modelling choice moves the limits.
 pub fn profile_line_centric(bench: &mut Benchmark) -> (IntervalTable, IntervalTable, u64) {
-    use leakage_intervals::LineCentricExtractor;
+    use leakage_intervals::StreamingExtractor;
 
     struct LineSink {
-        icache: LineCentricExtractor,
-        dcache: LineCentricExtractor,
-        idist: CompactIntervalDist,
-        ddist: CompactIntervalDist,
+        icache: StreamingExtractor<CompactIntervalDist>,
+        dcache: StreamingExtractor<CompactIntervalDist>,
         end: Cycle,
     }
     impl TraceSink for LineSink {
         fn accept(&mut self, access: MemoryAccess) {
-            let line = access.addr.line(6);
             if access.kind.is_fetch() {
-                self.icache.on_access(line, access.cycle, &mut self.idist);
+                self.icache.accept(access);
             } else {
-                self.dcache.on_access(line, access.cycle, &mut self.ddist);
+                self.dcache.accept(access);
             }
             if access.cycle >= self.end {
                 self.end = access.cycle.advanced(1);
@@ -353,17 +350,18 @@ pub fn profile_line_centric(bench: &mut Benchmark) -> (IntervalTable, IntervalTa
     }
 
     let mut sink = LineSink {
-        icache: LineCentricExtractor::new(),
-        dcache: LineCentricExtractor::new(),
-        idist: CompactIntervalDist::new(),
-        ddist: CompactIntervalDist::new(),
+        icache: StreamingExtractor::new(6, CompactIntervalDist::new()),
+        dcache: StreamingExtractor::new(6, CompactIntervalDist::new()),
         end: Cycle::ZERO,
     };
     bench.run(&mut sink);
+    // Both sides end at the trace's end, not at their own last access.
     let end = sink.end;
-    sink.icache.finish(end, &mut sink.idist);
-    sink.dcache.finish(end, &mut sink.ddist);
-    (sink.idist.freeze(), sink.ddist.freeze(), end.raw())
+    (
+        sink.icache.finish_at(end).freeze(),
+        sink.dcache.finish_at(end).freeze(),
+        end.raw(),
+    )
 }
 
 /// Profiles the whole six-benchmark suite at the given scale —

@@ -1,57 +1,43 @@
 //! `leakage-job-worker`: one sweep-fabric worker process.
 //!
-//! Two modes, same chunk evaluation:
+//! Two ways in, one session (`leakage_jobs::transport`):
 //!
-//! * **stdio** (no arguments): reads the job hello and chunk
-//!   assignments on stdin, writes result frames on stdout (see
-//!   `leakage_jobs::protocol`), exits 0 on EOF. This is how the
-//!   coordinator spawns local workers.
+//! * **local** (no arguments): stdin is one end of a Unix socket pair
+//!   the coordinator created when it spawned this process. The worker
+//!   reads the job hello and assignments from it and writes frames back
+//!   on it, heartbeating meanwhile, and exits 0 when the coordinator
+//!   closes its end.
 //! * **remote** (`--connect ADDR`): dials a coordinator's
-//!   `--job-listen` socket, admits itself with `--token`, heartbeats,
-//!   and redials with jittered backoff when the link drops. Run this
-//!   on other machines to lend them to the fabric.
+//!   `--job-listen` socket, admits itself with `--token`, heartbeats
+//!   every `--hb-ms`, and redials with jittered backoff when the link
+//!   drops. Run this on other machines to lend them to the fabric.
 //!
-//! All real logic lives in the library so tests can drive a worker
-//! in-process; this binary only wires the pipes/socket and maps
-//! protocol violations to a non-zero exit.
+//! All real logic lives in the library; this binary parses flags and
+//! maps a failed session to a non-zero exit.
 
-use std::io::{self, BufWriter, Write};
 use std::time::Duration;
 
-use leakage_jobs::transport::{run_remote_worker, RemoteWorkerConfig};
+use leakage_jobs::{run_local_worker, run_remote_worker, RemoteWorkerConfig};
 
 const USAGE: &str = "usage: leakage-job-worker [--connect ADDR [--token T] [--hb-ms N] [--max-dials N]]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        run_stdio();
-        return;
-    }
-    match parse_remote(&args) {
-        Ok(config) => {
-            if let Err(err) = run_remote_worker(config) {
-                eprintln!("leakage-job-worker: {err}");
-                std::process::exit(1);
+    let served = if args.is_empty() {
+        run_local_worker()
+    } else {
+        match parse_remote(&args) {
+            Ok(config) => run_remote_worker(config),
+            Err(err) => {
+                eprintln!("leakage-job-worker: {err}\n{USAGE}");
+                std::process::exit(2);
             }
         }
-        Err(err) => {
-            eprintln!("leakage-job-worker: {err}\n{USAGE}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn run_stdio() {
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    let mut out = BufWriter::new(stdout.lock());
-    if let Err(err) = leakage_jobs::protocol::run_worker(stdin.lock(), &mut out) {
-        let _ = out.flush();
+    };
+    if let Err(err) = served {
         eprintln!("leakage-job-worker: {err}");
         std::process::exit(1);
     }
-    let _ = out.flush();
 }
 
 fn parse_remote(args: &[String]) -> Result<RemoteWorkerConfig, String> {

@@ -9,7 +9,6 @@
 //! chunk-NNNNNN.ckpt   one durable checkpoint per completed chunk
 //! canceled            empty marker: the job was canceled, never resume
 //! quarantine/         corrupt checkpoints, moved verbatim (byte-capped)
-//! leases/             deadline-stamped chunk ownership (epoch per chunk)
 //! ```
 //!
 //! Every piece of job state that matters is on disk before it is
@@ -23,27 +22,30 @@
 //! byte-identical to an uninterrupted one.
 //!
 //! The runner speaks the [`crate::protocol`] over
-//! [`crate::transport::WorkerTransport`] links: locally-spawned stdio
-//! children, plus — when `FabricConfig::listen` is set — remote TCP
-//! workers admitted through the shared [`RemoteGate`] pool. A local
-//! worker that exits, panics (armed `jobs/chunk` fault), or stalls
-//! past the deadline is killed and its in-flight chunk goes back on
-//! the pending queue; a bounded respawn budget and a per-chunk attempt
-//! cap turn pathological loops into a `failed` job instead of a hung
+//! [`WorkerLink`]s: locally-spawned children on a Unix socket pair,
+//! plus — when `FabricConfig::listen` is set — remote TCP workers
+//! admitted through the shared [`RemoteGate`] pool. Both run the same
+//! session and heartbeat alike, so one deadline rule covers every
+//! worker: one that has been silent past `heartbeat_timeout`, or has
+//! held a chunk past `stall_deadline`, has its chunk's *lease*
+//! expired — the chunk's epoch bumps and the chunk goes back on the
+//! pending queue. Ownership is the only difference left: a local
+//! worker is also killed, and its death respawns it within a bounded
+//! budget; a remote one keeps its link in case the partition heals,
+//! and redials on its own if it was really gone. A per-chunk attempt
+//! cap turns pathological loops into a `failed` job instead of a hung
 //! one.
 //!
-//! Remote workers cannot be distinguished from a slow network by
-//! process observation, so their failure handling is lease-based: a
-//! worker that misses heartbeats (or stalls) has its chunk's lease
-//! *expired* — the epoch bumps, the chunk returns to the queue — while
-//! the link stays open in case the partition heals. Frames that arrive
-//! after expiry lose the epoch comparison and are discarded
-//! (`jobs_late_commits_discarded_total`); the first durable checkpoint
-//! always wins, which also absorbs `net/dup` duplicate frames.
+//! An answer commits only if it arrives under the epoch its chunk was
+//! assigned with; anything later is discarded
+//! (`jobs_late_commits_discarded_total`), and the first durable
+//! checkpoint always wins, which also absorbs `net/dup` duplicate
+//! frames. Epochs live only in the runner's memory (DESIGN.md, "Remote
+//! worker transport & failure model", says why that is enough).
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
-use std::io::{self, BufRead, BufReader};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,10 +61,9 @@ use crate::checkpoint::{
     self, chunk_file_name, parse_chunk_file_name, quarantine, read_chunk, write_chunk, ChunkFile,
     CkptError,
 };
-use crate::lease::LeaseManager;
-use crate::protocol::{rows_checksum, Assign, Hello, WorkerFrame};
+use crate::protocol::{Assign, FrameReader, Hello, Inbound};
 use crate::spec::{JobSpec, SpecError};
-use crate::transport::{RemoteGate, SocketTransport, StdioTransport, WorkerTransport};
+use crate::transport::{RemoteGate, WorkerLink};
 
 /// Environment override for the worker executable path.
 pub const WORKER_BIN_ENV: &str = "LEAKAGE_JOB_WORKER_BIN";
@@ -86,8 +87,9 @@ pub struct FabricConfig {
     pub jobs_dir: PathBuf,
     /// Worker processes per running job.
     pub workers: usize,
-    /// A worker holding one chunk longer than this is killed and the
-    /// chunk reassigned.
+    /// A worker holding one chunk longer than this has the chunk's
+    /// lease expired and the chunk reassigned (a local worker is also
+    /// killed and respawned).
     pub stall_deadline: Duration,
     /// Worker executable; `None` resolves via [`WORKER_BIN_ENV`], then
     /// next to the current executable.
@@ -106,8 +108,9 @@ pub struct FabricConfig {
     /// Shared admission token remote workers must present; `None`
     /// admits any well-formed hello.
     pub token: Option<String>,
-    /// A remote worker silent for longer than this has its chunk's
-    /// lease expired and reassigned (the link is kept, in case the
+    /// A worker silent for longer than this has its chunk's lease
+    /// expired and the chunk reassigned (a local worker is also killed
+    /// and respawned; a remote one keeps its link, in case the
     /// partition heals).
     pub heartbeat_timeout: Duration,
 }
@@ -673,7 +676,7 @@ impl JobFabric {
                         Runner::new(fabric, Arc::clone(&job)).run()
                     }));
                     if let Err(payload) = outcome {
-                        let msg = format!("runner panicked: {}", panic_message(&payload));
+                        let msg = format!("runner panicked: {}", panic_message(payload.as_ref()));
                         warn!("jobs: {} {msg}", job.id);
                         let mut status = job.status.lock().unwrap();
                         status.state = JobState::Failed;
@@ -711,29 +714,18 @@ fn resolve_worker_bin(config: &FabricConfig) -> PathBuf {
 
 /// Events the per-worker reader threads feed the runner loop.
 enum Event {
-    Ready(usize),
-    ChunkDone {
-        worker: usize,
-        chunk: u64,
-        rows: Vec<String>,
-    },
-    ChunkErr {
-        worker: usize,
-        chunk: u64,
-        error: String,
-    },
-    /// A remote worker's liveness beat (stdio workers never send one).
-    Heartbeat(usize),
+    /// One decoded frame from `worker`.
+    Frame(usize, Inbound),
     /// The worker's stream closed or spoke garbage; `reason` is for
     /// logs. Sent at most once per worker.
     Gone { worker: usize, reason: String },
 }
 
 struct WorkerSlot {
-    link: Box<dyn WorkerTransport>,
+    link: WorkerLink,
     assigned: Option<Assign>,
     /// Lease epoch the current assignment was granted under; a chunk
-    /// answer only commits while this still matches the lease table.
+    /// answer only commits while this still matches `Runner::epochs`.
     epoch: u64,
     assigned_at: Instant,
     /// Last frame of any kind (heartbeats included) from this worker.
@@ -741,11 +733,11 @@ struct WorkerSlot {
     /// We closed the worker's input on purpose; the coming `Gone` is
     /// expected.
     retired: bool,
-    /// An assignment revoked by lease expiry: `(chunk, epoch)`. The
+    /// The chunk of an assignment revoked by lease expiry. A remote
     /// link stays open; if the partition heals, the worker's stale
     /// answer for this chunk is discarded silently instead of being
     /// treated as a protocol violation.
-    revoked: Option<(u64, u64)>,
+    revoked: Option<u64>,
     reader: Option<thread::JoinHandle<()>>,
 }
 
@@ -756,7 +748,9 @@ struct Runner {
     attempts: HashMap<u64, u32>,
     done: Vec<bool>,
     slots: Vec<Option<WorkerSlot>>,
-    leases: LeaseManager,
+    /// Per-chunk lease epoch; grows by one on every assignment *and*
+    /// every expiry, so a revoked owner can never match again.
+    epochs: Vec<u64>,
     events_tx: mpsc::Sender<Event>,
     events_rx: mpsc::Receiver<Event>,
     spawns_left: u64,
@@ -769,7 +763,6 @@ impl Runner {
     fn new(fabric: Arc<JobFabric>, job: Arc<JobHandle>) -> Runner {
         let (events_tx, events_rx) = mpsc::channel();
         let chunks = job.spec.chunk_count();
-        let leases = LeaseManager::open(&job.dir);
         Runner {
             fabric,
             job,
@@ -777,7 +770,7 @@ impl Runner {
             attempts: HashMap::new(),
             done: vec![false; chunks as usize],
             slots: Vec::new(),
-            leases,
+            epochs: vec![0; chunks as usize],
             events_tx,
             events_rx,
             spawns_left: chunks.max(16),
@@ -948,20 +941,17 @@ impl Runner {
         }
         self.spawns_left -= 1;
         let bin = resolve_worker_bin(&self.fabric.config);
-        let child = retry(Backoff::DISK, |_| {
+        let link = retry(Backoff::DISK, |_| {
             io_point("jobs/spawn")?;
             let mut command = Command::new(&bin);
             command
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
                 .stderr(Stdio::inherit())
                 .env_remove(leakage_faults::FAULTS_ENV);
             for (key, value) in &self.fabric.config.worker_env {
                 command.env(key, value);
             }
-            command.spawn()
+            WorkerLink::spawn(command)
         })?;
-        let link = Box::new(StdioTransport::new(child));
         self.attach_worker(link)
     }
 
@@ -984,12 +974,8 @@ impl Runner {
             if self.pending.len() <= idle {
                 return;
             }
-            let Some(session) = gate.take() else {
+            let Some(link) = gate.take() else {
                 return;
-            };
-            let link = match SocketTransport::adopt(session) {
-                Ok(link) => Box::new(link),
-                Err(_) => continue, // died while pooled
             };
             self.remote_admits_left -= 1;
             if self.attach_worker(link).is_err() {
@@ -1000,20 +986,27 @@ impl Runner {
         }
     }
 
-    /// Wires a transport into a slot: sends the job hello, spawns the
-    /// reader thread, publishes the roster.
-    fn attach_worker(&mut self, mut link: Box<dyn WorkerTransport>) -> io::Result<()> {
+    /// Wires a link into a slot: sends the job hello, spawns the
+    /// reader thread, publishes the roster. A local link that fails
+    /// here is reaped; its process must not outlive the attempt.
+    fn attach_worker(&mut self, mut link: WorkerLink) -> io::Result<()> {
         let hello = Hello {
             job_id: self.job.id.clone(),
             spec: self.job.spec.clone(),
         };
-        link.send_line(&hello.encode())?;
-        let stream = link.take_reader().expect("worker transport reader");
+        let stream = match link.send_line(&hello.encode()).and_then(|()| link.reader()) {
+            Ok(stream) => stream,
+            Err(err) => {
+                link.reap();
+                return Err(err);
+            }
+        };
         let worker = self.slots.len();
         let tx = self.events_tx.clone();
+        let max_points = u64::from(self.job.spec.chunk_points);
         let reader = thread::Builder::new()
             .name(format!("job-worker-read-{worker}"))
-            .spawn(move || read_worker(worker, stream, &tx))
+            .spawn(move || read_worker(worker, FrameReader::new(stream, max_points), &tx))
             .expect("spawn worker reader thread");
         let now = Instant::now();
         self.slots.push(Some(WorkerSlot {
@@ -1036,7 +1029,7 @@ impl Runner {
             .iter()
             .flatten()
             .map(|slot| WorkerView {
-                pid: slot.link.id(),
+                pid: slot.link.pid(),
                 chunk: slot.assigned.map(|a| a.chunk),
                 alive: !slot.retired,
             })
@@ -1047,13 +1040,12 @@ impl Runner {
     /// Feeds the next pending chunk to `worker` under a fresh lease,
     /// or retires it (closes its input) when nothing is left.
     fn assign_next(&mut self, worker: usize) {
-        let link_id = match self.slots[worker].as_ref() {
+        match self.slots[worker].as_ref() {
             // A duplicated `ready` frame (net/dup) or a heartbeat on a
             // busy worker must not double-assign.
-            Some(slot) if slot.assigned.is_some() => return,
-            Some(slot) => slot.link.id(),
-            None => return,
-        };
+            Some(slot) if slot.assigned.is_none() => {}
+            _ => return,
+        }
         let Some(chunk) = self.pending.pop_front() else {
             if let Some(slot) = self.slots[worker].as_mut() {
                 slot.retired = true;
@@ -1062,9 +1054,8 @@ impl Runner {
             self.publish_workers();
             return;
         };
-        let epoch = self
-            .leases
-            .acquire(chunk, link_id, self.fabric.config.stall_deadline);
+        self.epochs[chunk as usize] += 1;
+        let epoch = self.epochs[chunk as usize];
         let (start, end) = self.job.spec.chunk_range(chunk);
         let assign = Assign { chunk, start, end };
         let write = self.slots[worker]
@@ -1097,14 +1088,17 @@ impl Runner {
 
     /// Returns `false` when the job reached a terminal state.
     fn handle_event(&mut self, event: Event) -> bool {
-        match event {
-            Event::Ready(worker) => {
-                self.touch(worker);
+        let (worker, frame) = match event {
+            Event::Frame(worker, frame) => (worker, frame),
+            Event::Gone { worker, reason } => return self.on_gone(worker, &reason),
+        };
+        self.touch(worker);
+        match frame {
+            Inbound::Ready => {
                 self.assign_next(worker);
                 true
             }
-            Event::Heartbeat(worker) => {
-                self.touch(worker);
+            Inbound::Heartbeat => {
                 // A beat from an idle worker is also an offer to work:
                 // this is how a worker whose assignment was revoked
                 // (expired lease, dropped frame) gets back in rotation
@@ -1117,27 +1111,23 @@ impl Runner {
                 }
                 true
             }
-            Event::ChunkDone { worker, chunk, rows } => {
-                self.touch(worker);
+            Inbound::ChunkDone { chunk, rows } => {
                 let assigned = self.slots[worker].as_ref().and_then(|s| s.assigned);
                 let epoch = self.slots[worker].as_ref().map_or(0, |s| s.epoch);
                 let owns = assigned.map(|a| a.chunk) == Some(chunk)
-                    && self.leases.current(chunk) == epoch
+                    && self.epochs[chunk as usize] == epoch
                     && !self.done[chunk as usize];
                 if !owns {
-                    let was_revoked = self.slots[worker]
-                        .as_ref()
-                        .and_then(|s| s.revoked)
-                        .map(|(c, _)| c)
-                        == Some(chunk);
+                    let was_revoked =
+                        self.slots[worker].as_ref().and_then(|s| s.revoked) == Some(chunk);
                     let late = was_revoked
-                        || self.done[chunk as usize]
+                        || self.done.get(chunk as usize) == Some(&true)
                         || assigned.map(|a| a.chunk) == Some(chunk);
                     if !late {
                         // Never assigned, never revoked: a protocol
                         // violation, not a race.
                         self.kill_worker(worker, "answered a chunk it was not assigned");
-                        return self.ensure_progress();
+                        return !self.finish_if_complete();
                     }
                     // The first durable checkpoint already won (or a
                     // newer lease holder is about to write it): this
@@ -1167,7 +1157,7 @@ impl Runner {
                 if rows.len() as u64 != end - start {
                     self.requeue(chunk, "row count disagrees with chunk range");
                     self.kill_worker(worker, "bad row count");
-                    return self.ensure_progress();
+                    return !self.finish_if_complete();
                 }
                 let file = ChunkFile {
                     job_id: self.job.id.clone(),
@@ -1179,7 +1169,6 @@ impl Runner {
                 match write_chunk(&self.job.dir, &file) {
                     Ok(_) => {
                         self.done[chunk as usize] = true;
-                        self.leases.release(chunk);
                         if let Some(slot) = self.slots[worker].as_mut() {
                             slot.assigned = None;
                         }
@@ -1201,8 +1190,7 @@ impl Runner {
                 }
                 true
             }
-            Event::ChunkErr { worker, chunk, error } => {
-                self.touch(worker);
+            Inbound::ChunkErr { chunk, error } => {
                 let matched = self.slots[worker]
                     .as_ref()
                     .is_some_and(|s| s.assigned.map(|a| a.chunk) == Some(chunk));
@@ -1219,58 +1207,50 @@ impl Runner {
                     // A stale error for a revoked chunk: the requeue
                     // already happened at expiry. Just clear the
                     // revocation.
-                    if slot.revoked.map(|(c, _)| c) == Some(chunk) {
+                    if slot.revoked == Some(chunk) {
                         slot.revoked = None;
                     }
                 }
                 self.assign_next(worker);
                 true
             }
-            Event::Gone { worker, reason } => {
-                let (retired, assigned, local) = match self.slots[worker].as_ref() {
-                    Some(slot) => (slot.retired, slot.assigned, slot.link.is_local()),
-                    None => (true, None, true),
-                };
-                if retired {
-                    self.reap(worker);
-                    return true;
-                }
-                self.reap(worker);
-                if let Some(assign) = assigned {
-                    self.requeue(assign.chunk, &reason);
-                    let mut status = self.job.status.lock().unwrap();
-                    status.reassigned_chunks += 1;
-                    drop(status);
-                }
-                if self.job_failed() {
-                    self.teardown(false);
-                    return false;
-                }
-                if local && !self.pending.is_empty() {
-                    {
-                        let mut status = self.job.status.lock().unwrap();
-                        status.worker_restarts += 1;
-                    }
-                    counter!("jobs_worker_restarts_total").inc();
-                    warn!(
-                        "jobs: {} worker {worker} lost ({reason}); respawning",
-                        self.job.id
-                    );
-                    if let Err(err) = self.spawn_local_worker() {
-                        self.fail(format!("respawning worker: {err}"));
-                        self.teardown(false);
-                        return false;
-                    }
-                }
-                // A lost *remote* worker is not respawned here: it
-                // redials on its own and re-enters through the gate.
-                self.ensure_progress()
-            }
         }
     }
 
-    /// After losing a worker, the job may already be complete.
-    fn ensure_progress(&mut self) -> bool {
+    /// A worker's stream ended. Returns `false` when the job reached a
+    /// terminal state.
+    fn on_gone(&mut self, worker: usize, reason: &str) -> bool {
+        let (retired, assigned, owned) = match self.slots[worker].as_ref() {
+            Some(slot) => (slot.retired, slot.assigned, slot.link.owned()),
+            None => (true, None, true),
+        };
+        self.reap(worker);
+        if retired {
+            return true;
+        }
+        if let Some(assign) = assigned {
+            self.requeue(assign.chunk, reason);
+            self.job.status.lock().unwrap().reassigned_chunks += 1;
+        }
+        if self.job_failed() {
+            self.teardown(false);
+            return false;
+        }
+        if owned && !self.pending.is_empty() {
+            self.job.status.lock().unwrap().worker_restarts += 1;
+            counter!("jobs_worker_restarts_total").inc();
+            warn!(
+                "jobs: {} worker {worker} lost ({reason}); respawning",
+                self.job.id
+            );
+            if let Err(err) = self.spawn_local_worker() {
+                self.fail(format!("respawning worker: {err}"));
+                self.teardown(false);
+                return false;
+            }
+        }
+        // A lost *remote* worker is not respawned here: it redials on
+        // its own and re-enters through the gate.
         !self.finish_if_complete()
     }
 
@@ -1307,55 +1287,33 @@ impl Runner {
         counter!("jobs_failed_total").inc();
     }
 
-    /// Periodic deadline sweep. Local workers holding a chunk past the
-    /// stall deadline are killed (their death is observable, so the
-    /// `Gone` event handles requeue). Remote workers cannot be killed
-    /// meaningfully — silence may be a partition — so their chunk's
-    /// *lease* expires instead: epoch bump, requeue, link kept open.
-    /// Returns `false` when the job reached a terminal state.
+    /// Periodic deadline sweep, one rule for every worker: a worker
+    /// silent past the heartbeat timeout, or holding its chunk past
+    /// the stall deadline, loses the chunk's lease — the epoch bumps so
+    /// its answer can never commit, and the chunk is requeued. A worker
+    /// the fabric owns is also killed, and its `Gone` event respawns
+    /// it; a remote one keeps its link, because silence may be a
+    /// partition that heals. Returns `false` when the job reached a
+    /// terminal state.
     fn check_deadlines(&mut self) -> bool {
         let stall = self.fabric.config.stall_deadline;
         let hb = self.fabric.config.heartbeat_timeout;
-        let stalled: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let slot = slot.as_ref()?;
-                (slot.link.is_local()
-                    && slot.assigned.is_some()
-                    && !slot.retired
-                    && slot.assigned_at.elapsed() > stall)
-                    .then_some(i)
-            })
-            .collect();
-        for worker in stalled {
-            counter!("jobs_workers_stalled_total").inc();
-            self.kill_worker(worker, "stall deadline exceeded");
-        }
-        let expired: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let slot = slot.as_ref()?;
-                (!slot.link.is_local()
-                    && slot.assigned.is_some()
-                    && !slot.retired
-                    && (slot.last_heard.elapsed() > hb || slot.assigned_at.elapsed() > stall))
-                    .then_some(i)
-            })
-            .collect();
-        let mut any_expired = false;
-        for worker in expired {
+        let mut expired = false;
+        for worker in 0..self.slots.len() {
             let Some(slot) = self.slots[worker].as_mut() else {
                 continue;
             };
+            if slot.retired
+                || (slot.last_heard.elapsed() <= hb && slot.assigned_at.elapsed() <= stall)
+            {
+                continue;
+            }
             let Some(assign) = slot.assigned.take() else {
                 continue;
             };
-            slot.revoked = Some((assign.chunk, slot.epoch));
-            self.leases.expire(assign.chunk);
+            slot.revoked = Some(assign.chunk);
+            let owned = slot.link.owned();
+            self.epochs[assign.chunk as usize] += 1;
             counter!("jobs_leases_expired_total").inc();
             {
                 let mut status = self.job.status.lock().unwrap();
@@ -1363,13 +1321,17 @@ impl Runner {
                 status.reassigned_chunks += 1;
             }
             warn!(
-                "jobs: {} lease on chunk {} expired (worker {worker} silent); reassigning",
+                "jobs: {} lease on chunk {} expired (worker {worker} missed its deadline); reassigning",
                 self.job.id, assign.chunk
             );
             self.requeue(assign.chunk, "lease expired");
-            any_expired = true;
+            if owned {
+                counter!("jobs_workers_stalled_total").inc();
+                self.kill_worker(worker, "deadline missed");
+            }
+            expired = true;
         }
-        if any_expired {
+        if expired {
             self.publish_workers();
             if self.job_failed() {
                 self.teardown(false);
@@ -1386,7 +1348,7 @@ impl Runner {
             warn!(
                 "jobs: {} killing worker {} ({reason})",
                 self.job.id,
-                slot.link.id()
+                slot.link.pid()
             );
             slot.link.kill();
         }
@@ -1419,92 +1381,23 @@ impl Runner {
     }
 }
 
-/// Reader-thread body: turns a worker's byte stream (stdout pipe or
-/// TCP socket) into [`Event`]s. Stateful framing — after a
-/// `ChunkStart` header the next `points` lines are verbatim rows — and
-/// the `chunk_end` checksum is verified *here*, so a corrupted pipe
-/// never reaches a checkpoint.
-fn read_worker(worker: usize, stream: Box<dyn io::Read + Send>, tx: &mpsc::Sender<Event>) {
-    let gone = |reason: String| Event::Gone { worker, reason };
-    let mut lines = BufReader::new(stream).lines();
-    let outcome = loop {
-        let Some(line) = lines.next() else {
-            break gone("stream closed".to_string());
-        };
-        let line = match line {
-            Ok(line) => line,
-            Err(err) => break gone(format!("stream read: {err}")),
-        };
-        match WorkerFrame::parse(&line) {
-            Ok(WorkerFrame::Ready(_)) => {
-                if tx.send(Event::Ready(worker)).is_err() {
+/// Reader-thread body: forwards a worker's decoded frames as
+/// [`Event`]s, then one `Gone` with the reason the stream ended. The
+/// [`FrameReader`] verifies each chunk's row count and checksum here,
+/// so a corrupted stream never reaches a checkpoint.
+fn read_worker(worker: usize, mut frames: FrameReader<impl io::Read>, tx: &mpsc::Sender<Event>) {
+    let reason = loop {
+        match frames.next_frame() {
+            Ok(Some(frame)) => {
+                if tx.send(Event::Frame(worker, frame)).is_err() {
                     return;
                 }
             }
-            Ok(WorkerFrame::Heartbeat(_)) => {
-                if tx.send(Event::Heartbeat(worker)).is_err() {
-                    return;
-                }
-            }
-            Ok(WorkerFrame::ChunkStart { chunk, points }) => {
-                let mut rows = Vec::with_capacity(points as usize);
-                for _ in 0..points {
-                    match lines.next() {
-                        Some(Ok(row)) => rows.push(row),
-                        Some(Err(_)) | None => break,
-                    }
-                }
-                if rows.len() as u64 != points {
-                    break gone(format!(
-                        "stream ended mid-chunk {chunk}: {}/{points} rows",
-                        rows.len()
-                    ));
-                }
-                let seal = match lines.next() {
-                    Some(Ok(line)) => line,
-                    _ => break gone(format!("no chunk_end after chunk {chunk}")),
-                };
-                match WorkerFrame::parse(&seal) {
-                    Ok(WorkerFrame::ChunkEnd {
-                        chunk: sealed,
-                        fnv1a,
-                    }) if sealed == chunk => {
-                        if fnv1a != rows_checksum(&rows) {
-                            break gone(format!("chunk {chunk} row checksum mismatch"));
-                        }
-                        if tx
-                            .send(Event::ChunkDone {
-                                worker,
-                                chunk,
-                                rows,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    _ => break gone(format!("bad seal after chunk {chunk}: {seal:?}")),
-                }
-            }
-            Ok(WorkerFrame::ChunkErr { chunk, error }) => {
-                if tx
-                    .send(Event::ChunkErr {
-                        worker,
-                        chunk,
-                        error,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Ok(WorkerFrame::ChunkEnd { chunk, .. }) => {
-                break gone(format!("chunk_end {chunk} without chunk header"));
-            }
-            Err(err) => break gone(err.to_string()),
+            Ok(None) => break "stream closed".to_string(),
+            Err(reason) => break reason,
         }
     };
-    let _ = tx.send(outcome);
+    let _ = tx.send(Event::Gone { worker, reason });
 }
 
 #[cfg(test)]

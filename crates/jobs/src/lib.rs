@@ -16,21 +16,22 @@
 //!   written temp-file + fsync + rename, read back and verified before
 //!   they count; corrupt files are quarantined, never served.
 //! * [`protocol`] — coordinator↔worker frames as line-delimited JSON,
-//!   plus the worker main loop itself (the `leakage-job-worker` binary
-//!   is a thin shell around it).
-//! * [`transport`] — how those frames travel: stdio pipes to
-//!   locally-spawned children, or TCP sessions from remote workers
-//!   that dial `--job-listen`, admit themselves with a shared token,
-//!   heartbeat, and redial with jittered backoff. Both transports
-//!   carry identical bytes behind the `WorkerTransport` trait.
-//! * [`lease`] — per-chunk, epoch-counted ownership recorded in the
-//!   checkpoint dir, so a chunk reassigned across a partition cannot
-//!   be double-committed: first durable checkpoint wins, late frames
-//!   are discarded by epoch.
+//!   the worker's chunk answer, and the coordinator's bounded frame
+//!   reader.
+//! * [`transport`] — how those frames travel, and the one worker
+//!   session every worker runs: locally-spawned children get one end
+//!   of a Unix socket pair as stdin; remote workers dial `--job-listen`
+//!   over TCP, admit themselves with a shared token, and redial with
+//!   jittered backoff. Both heartbeat and answer assignments alike.
 //! * [`fabric`] — the coordinator: submission, worker fan-out (local
-//!   and remote), stall/heartbeat-driven reassignment, crash recovery
-//!   (a restart resumes from checkpoints and produces byte-identical
-//!   results), and paginated result reads.
+//!   and remote), one deadline rule for every worker (silent past the
+//!   heartbeat timeout or holding a chunk past the stall deadline: the
+//!   chunk's lease expires and it is reassigned), crash recovery (a
+//!   restart resumes from checkpoints and produces byte-identical
+//!   results), and paginated result reads. Leases are per-chunk epochs
+//!   in the runner's memory: an answer commits only under the epoch
+//!   it was assigned with, so a late answer from a partitioned worker
+//!   is discarded, and the first durable checkpoint wins.
 //!
 //! Failure injection rides the workspace-wide `LEAKAGE_FAULTS` plane.
 //! Process sites: `jobs/spawn` (worker creation), `jobs/chunk`
@@ -38,7 +39,7 @@
 //! worker deterministically), and `jobs/checkpoint` (the durable write
 //! — arm `truncate:` to tear a checkpoint and watch the read-back
 //! quarantine it). Network sites, visited on every data-frame send of
-//! the socket transport: `net/drop`, `net/delay` (latency),
+//! a worker link: `net/drop`, `net/delay` (latency),
 //! `net/partition` (latency under the writer lock, silencing
 //! heartbeats), and `net/dup`.
 
@@ -47,7 +48,6 @@
 
 pub mod checkpoint;
 pub mod fabric;
-pub mod lease;
 pub mod protocol;
 pub mod spec;
 pub mod transport;
@@ -56,7 +56,7 @@ pub use fabric::{
     CancelOutcome, FabricConfig, JobFabric, JobState, ResultError, SubmitError, Submitted,
     MAX_PER_PAGE, WORKER_BIN_ENV,
 };
-pub use transport::{run_remote_worker, RemoteWorkerConfig, WorkerTransport};
+pub use transport::{run_local_worker, run_remote_worker, RemoteWorkerConfig};
 pub use spec::{
     render_job_row, render_sweep_row, JobPoint, JobSpec, PermilleAxis, SpecError,
     DEFAULT_CHUNK_POINTS, MAX_CHUNK_POINTS, MIN_CHUNK_POINTS,

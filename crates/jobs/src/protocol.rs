@@ -1,11 +1,14 @@
-//! The coordinator↔worker wire protocol and the worker's main loop.
+//! The coordinator↔worker wire protocol: frames, the worker's chunk
+//! answer, and the coordinator's frame reader.
 //!
-//! Workers are separate processes talking line-delimited JSON — over
-//! stdin/stdout when the coordinator spawns them locally, or over a
-//! TCP stream when they dial `--job-listen` (see [`crate::transport`]).
-//! Both transports carry the same bytes. The conversation per worker:
+//! Workers are separate processes talking line-delimited JSON over one
+//! socket — a Unix socket pair for a child the coordinator spawned, a
+//! TCP stream for a worker that dialed `--job-listen` (see
+//! [`crate::transport`], which also holds the one worker session both
+//! run). The conversation per worker:
 //!
 //! ```text
+//! worker → coordinator   {"worker":<pid>,"token":"…"}                   (remote only, once)
 //! coordinator → worker   {"job":{...canonical spec...},"id":"j…"}      (once)
 //! worker → coordinator   {"ready":<pid>}
 //! coordinator → worker   {"assign":{"chunk":N,"start":S,"end":E}}      (repeated)
@@ -13,36 +16,34 @@
 //!                        <row>                                          × K
 //!                        {"chunk_end":N,"fnv1a":"<16 hex>"}
 //!            — or —      {"chunk_err":N,"error":"…"}
-//! coordinator closes stdin → worker exits 0
+//! worker → coordinator   {"hb":<seq>}                                   (any time between frames)
+//! coordinator closes its half → worker ends the session
 //! ```
 //!
-//! Remote sessions add two frames the stdio transport never uses: an
-//! admission line `{"worker":<pid>,"token":"…"}` sent by the worker
-//! immediately after connecting (checked against `--job-token` before
-//! the session joins the pool), and application-level heartbeats
-//! `{"hb":<seq>}` so the coordinator can tell a slow network from a
-//! dead worker. Stdio workers send neither, which keeps that transport
-//! byte-compatible with the pre-socket fabric.
+//! The admission line is checked against `--job-token` before a remote
+//! session joins the pool; a local child needs none, because the
+//! socket pair *is* its admission. Heartbeats let the coordinator tell
+//! a slow worker from a dead or partitioned one.
 //!
 //! Rows travel verbatim (they are already canonical JSON) and are not
 //! re-parsed in flight; the `chunk_end` footer carries FNV-1a over the
-//! newline-terminated row bytes so a corrupted pipe or a buggy worker
+//! newline-terminated row bytes so a corrupted stream or a buggy worker
 //! is caught before anything reaches a checkpoint. Framing is
 //! stateful: after a `{"chunk":N,"points":K}` header the next `K`
 //! lines are rows, so row content can never be mistaken for a frame.
+//! [`FrameReader`] decodes that framing on the coordinator side and
+//! bounds it: no line longer than [`MAX_LINE_BYTES`], no chunk header
+//! announcing more rows than a chunk of the job holds.
 //!
-//! The `jobs/chunk` fault site is visited at every chunk boundary
-//! *outside* any unwinding guard: an armed `panic` arm kills the
-//! worker process at a deterministic chunk ordinal (per-arm arrival
-//! counters), which is exactly the crash the reassignment machinery
-//! exists for. Evaluation failures, by contrast, are *reported* as
-//! `chunk_err` frames and leave the worker alive.
+//! Evaluation failures are *reported* as `chunk_err` frames and leave
+//! the worker alive; the `jobs/chunk` kill site sits in the session
+//! loop, outside any unwinding guard.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufReader, Read};
 
 use leakage_experiments::ProfileStore;
 use leakage_faults::checksum::Fnv64;
-use leakage_faults::{panic_message, panic_point};
+use leakage_faults::panic_message;
 use leakage_telemetry::json::{self, Json};
 
 use crate::spec::JobSpec;
@@ -121,9 +122,7 @@ impl Assign {
             .ok_or_else(|| bad_frame(line, "no \"assign\" field"))?;
         let field = |name: &str| -> io::Result<u64> {
             body.get(name)
-                .and_then(Json::as_f64)
-                .filter(|v| v.fract() == 0.0 && *v >= 0.0)
-                .map(|v| v as u64)
+                .and_then(uint)
                 .ok_or_else(|| bad_frame(line, &format!("bad \"{name}\"")))
         };
         Ok(Assign {
@@ -137,8 +136,8 @@ impl Assign {
 /// The admission frame a remote worker sends immediately after
 /// connecting, before any job is in play: its pid (for status
 /// displays) and the shared token the listener checks before the
-/// session may join the pool. Stdio workers never send this — their
-/// parent/child link *is* the admission.
+/// session may join the pool. Local workers never send this — their
+/// socket pair *is* the admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionHello {
     /// The worker process id, as reported in job status.
@@ -167,13 +166,9 @@ impl SessionHello {
         let doc = parse_frame(line)?;
         let pid = doc
             .get("worker")
-            .and_then(Json::as_f64)
-            .filter(|v| v.fract() == 0.0 && *v >= 0.0)
+            .and_then(uint)
             .ok_or_else(|| bad_frame(line, "no \"worker\" field"))? as u32;
-        let token = doc
-            .get("token")
-            .and_then(Json::as_str)
-            .map(str::to_string);
+        let token = doc.get("token").and_then(Json::as_str).map(str::to_string);
         Ok(SessionHello { pid, token })
     }
 }
@@ -205,7 +200,7 @@ pub enum WorkerFrame {
         /// Human-readable cause, relayed into the job status.
         error: String,
     },
-    /// Remote-session liveness beacon (never sent over stdio); the
+    /// Liveness beacon, sent from a side thread between frames; the
     /// sequence number is monotonic per session.
     Heartbeat(u64),
 }
@@ -227,9 +222,7 @@ impl WorkerFrame {
                 json::key("chunk_err") + &chunk.to_string(),
                 json::key("error") + &json::string(error),
             ]),
-            WorkerFrame::Heartbeat(seq) => {
-                json::object([json::key("hb") + &seq.to_string()])
-            }
+            WorkerFrame::Heartbeat(seq) => json::object([json::key("hb") + &seq.to_string()]),
         }
     }
 
@@ -240,19 +233,13 @@ impl WorkerFrame {
     /// `InvalidData` for anything that is not one of the four frames.
     pub fn parse(line: &str) -> io::Result<WorkerFrame> {
         let doc = parse_frame(line)?;
-        let int = |field: &Json| -> Option<u64> {
-            field
-                .as_f64()
-                .filter(|v| v.fract() == 0.0 && *v >= 0.0)
-                .map(|v| v as u64)
-        };
-        if let Some(pid) = doc.get("ready").and_then(int) {
+        if let Some(pid) = doc.get("ready").and_then(uint) {
             return Ok(WorkerFrame::Ready(pid as u32));
         }
-        if let Some(seq) = doc.get("hb").and_then(int) {
+        if let Some(seq) = doc.get("hb").and_then(uint) {
             return Ok(WorkerFrame::Heartbeat(seq));
         }
-        if let Some(chunk) = doc.get("chunk_end").and_then(int) {
+        if let Some(chunk) = doc.get("chunk_end").and_then(uint) {
             let fnv1a = doc
                 .get("fnv1a")
                 .and_then(Json::as_str)
@@ -261,7 +248,7 @@ impl WorkerFrame {
                 .ok_or_else(|| bad_frame(line, "bad \"fnv1a\""))?;
             return Ok(WorkerFrame::ChunkEnd { chunk, fnv1a });
         }
-        if let Some(chunk) = doc.get("chunk_err").and_then(int) {
+        if let Some(chunk) = doc.get("chunk_err").and_then(uint) {
             let error = doc
                 .get("error")
                 .and_then(Json::as_str)
@@ -269,10 +256,10 @@ impl WorkerFrame {
                 .to_string();
             return Ok(WorkerFrame::ChunkErr { chunk, error });
         }
-        if let Some(chunk) = doc.get("chunk").and_then(int) {
+        if let Some(chunk) = doc.get("chunk").and_then(uint) {
             let points = doc
                 .get("points")
-                .and_then(int)
+                .and_then(uint)
                 .ok_or_else(|| bad_frame(line, "bad \"points\""))?;
             return Ok(WorkerFrame::ChunkStart { chunk, points });
         }
@@ -292,6 +279,145 @@ pub fn rows_checksum(rows: &[String]) -> u64 {
     hash.finish()
 }
 
+/// Longest line the coordinator reads from a worker. Rows are about
+/// 200 bytes and frames less, so a longer line is a broken or hostile
+/// worker, not a large answer.
+pub const MAX_LINE_BYTES: usize = 4096;
+
+/// One frame from a worker, decoded by [`FrameReader`], with a chunk's
+/// rows attached and verified.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Inbound {
+    /// The worker parsed the hello and takes assignments.
+    Ready,
+    /// A liveness beacon.
+    Heartbeat,
+    /// A chunk's rows: exactly as many as its header announced, sealed
+    /// by a matching `chunk_end` whose checksum verified.
+    ChunkDone {
+        /// Chunk ordinal answered.
+        chunk: u64,
+        /// The verbatim rows, in point order.
+        rows: Vec<String>,
+    },
+    /// The worker could not evaluate the chunk.
+    ChunkErr {
+        /// Chunk ordinal that failed.
+        chunk: u64,
+        /// The worker's reason.
+        error: String,
+    },
+}
+
+/// The coordinator's reader of one worker stream. Framing is stateful
+/// (a chunk header's rows follow it), and every allocation is bounded
+/// before it is made: lines by [`MAX_LINE_BYTES`], a chunk's rows by
+/// the job's chunk size.
+pub struct FrameReader<R> {
+    input: BufReader<R>,
+    max_points: u64,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Reads frames from `input`; a chunk header announcing more than
+    /// `max_points` rows is a protocol violation.
+    pub fn new(input: R, max_points: u64) -> FrameReader<R> {
+        FrameReader {
+            input: BufReader::new(input),
+            max_points,
+        }
+    }
+
+    /// The next frame; `Ok(None)` when the stream ends between frames.
+    ///
+    /// # Errors
+    ///
+    /// Why the stream cannot be read on — a read failure, an oversized
+    /// line, a malformed or out-of-order frame, a short or unsealed
+    /// chunk, or a checksum mismatch. The link is unusable after one.
+    pub fn next_frame(&mut self) -> Result<Option<Inbound>, String> {
+        let Some(line) = self.line()? else {
+            return Ok(None);
+        };
+        let (chunk, points) = match WorkerFrame::parse(&line).map_err(|err| err.to_string())? {
+            WorkerFrame::Ready(_) => return Ok(Some(Inbound::Ready)),
+            WorkerFrame::Heartbeat(_) => return Ok(Some(Inbound::Heartbeat)),
+            WorkerFrame::ChunkErr { chunk, error } => {
+                return Ok(Some(Inbound::ChunkErr { chunk, error }))
+            }
+            WorkerFrame::ChunkEnd { chunk, .. } => {
+                return Err(format!("chunk_end {chunk} without chunk header"))
+            }
+            WorkerFrame::ChunkStart { chunk, points } => (chunk, points),
+        };
+        if points > self.max_points {
+            return Err(format!(
+                "chunk {chunk} announces {points} rows; a chunk holds at most {}",
+                self.max_points
+            ));
+        }
+        let mut rows = Vec::with_capacity(points as usize);
+        while (rows.len() as u64) < points {
+            match self.line()? {
+                Some(row) => rows.push(row),
+                None => {
+                    return Err(format!(
+                        "stream ended mid-chunk {chunk}: {}/{points} rows",
+                        rows.len()
+                    ))
+                }
+            }
+        }
+        let seal = self
+            .line()?
+            .ok_or_else(|| format!("no chunk_end after chunk {chunk}"))?;
+        match WorkerFrame::parse(&seal) {
+            Ok(WorkerFrame::ChunkEnd {
+                chunk: sealed,
+                fnv1a,
+            }) if sealed == chunk => {
+                if fnv1a != rows_checksum(&rows) {
+                    return Err(format!("chunk {chunk} row checksum mismatch"));
+                }
+                Ok(Some(Inbound::ChunkDone { chunk, rows }))
+            }
+            _ => Err(format!("bad seal after chunk {chunk}: {seal:?}")),
+        }
+    }
+
+    /// One line without its `\n` (or `\r\n`), read no further than
+    /// [`MAX_LINE_BYTES`] past its start; `None` at end of stream.
+    fn line(&mut self) -> Result<Option<String>, String> {
+        let mut line = Vec::new();
+        (&mut self.input)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)
+            .map_err(|err| format!("stream read: {err}"))?;
+        if line.is_empty() {
+            return Ok(None);
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+        } else if line.len() > MAX_LINE_BYTES {
+            return Err(format!("line longer than {MAX_LINE_BYTES} bytes"));
+        }
+        String::from_utf8(line)
+            .map(Some)
+            .map_err(|_| "stream read: line is not UTF-8".to_string())
+    }
+}
+
+/// A non-negative integral JSON number (saturating at `u64::MAX`).
+fn uint(value: &Json) -> Option<u64> {
+    value
+        .as_f64()
+        .filter(|v| v.fract() == 0.0 && *v >= 0.0)
+        .map(|v| v as u64)
+}
+
 fn parse_frame(line: &str) -> io::Result<Json> {
     json::parse(line).map_err(|err| bad_frame(line, &err.to_string()))
 }
@@ -307,11 +433,9 @@ fn bad_frame(line: &str, why: &str) -> io::Error {
 /// Evaluates one assignment and renders the complete wire response —
 /// the `{"chunk":…}` header, the verbatim rows, and the sealing
 /// `chunk_end` (or a single `chunk_err` line), every line
-/// newline-terminated. The stdio and socket transports both emit this
-/// text unmodified, which is what keeps them byte-compatible; building
-/// the whole response before any byte leaves also lets the socket side
-/// send it under one writer lock so heartbeats can never interleave
-/// with rows.
+/// newline-terminated. Building the whole response before any byte
+/// leaves lets the session send it under one writer lock, so
+/// heartbeats can never interleave with rows.
 pub fn chunk_response(spec: &JobSpec, store: &ProfileStore, assign: &Assign) -> String {
     if assign.end < assign.start || assign.end > spec.point_count() {
         let frame = WorkerFrame::ChunkErr {
@@ -340,7 +464,7 @@ pub fn chunk_response(spec: &JobSpec, store: &ProfileStore, assign: &Assign) -> 
             Ok(rows)
         },
     ))
-    .unwrap_or_else(|payload| Err(format!("panic: {}", panic_message(&payload))));
+    .unwrap_or_else(|payload| Err(format!("panic: {}", panic_message(payload.as_ref()))));
     match evaluated {
         Ok(rows) => {
             let mut response = WorkerFrame::ChunkStart {
@@ -374,96 +498,10 @@ pub fn chunk_response(spec: &JobSpec, store: &ProfileStore, assign: &Assign) -> 
     }
 }
 
-/// The stdio worker main loop: reads the hello, answers `ready`, then
-/// evaluates assignments until stdin closes. Extracted from the binary
-/// so tests can drive a worker in-process over byte buffers.
-///
-/// # Errors
-///
-/// Protocol violations and I/O failures on the pipes; the binary turns
-/// these into a non-zero exit.
-pub fn run_worker(input: impl BufRead, mut output: impl Write) -> io::Result<()> {
-    let mut lines = input.lines();
-    let hello = match lines.next() {
-        None => return Ok(()), // closed before hello: clean no-op
-        Some(line) => Hello::parse(&line?)?,
-    };
-    let spec = hello.spec;
-    writeln!(output, "{}", WorkerFrame::Ready(std::process::id()).encode())?;
-    output.flush()?;
-    let store = ProfileStore::global();
-    for line in lines {
-        let assign = Assign::parse(&line?)?;
-        // The kill site: an armed `jobs/chunk=panic#N` arm takes this
-        // worker down at its N-th chunk boundary, deterministically.
-        panic_point("jobs/chunk");
-        output.write_all(chunk_response(&spec, store, &assign).as_bytes())?;
-        output.flush()?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use leakage_workloads::Scale;
-
-    #[test]
-    fn frames_round_trip() {
-        let spec = JobSpec::default_axes("proto", Scale::Test);
-        let hello = Hello {
-            job_id: spec.id(),
-            spec,
-        };
-        assert_eq!(Hello::parse(&hello.encode()).unwrap(), hello);
-
-        let assign = Assign {
-            chunk: 3,
-            start: 12_288,
-            end: 16_384,
-        };
-        assert_eq!(Assign::parse(&assign.encode()).unwrap(), assign);
-
-        for frame in [
-            WorkerFrame::Ready(4242),
-            WorkerFrame::ChunkStart { chunk: 9, points: 512 },
-            WorkerFrame::ChunkEnd { chunk: 9, fnv1a: 0x0123_4567_89ab_cdef },
-            WorkerFrame::ChunkErr {
-                chunk: 9,
-                error: "profile gzip: missing".into(),
-            },
-            WorkerFrame::Heartbeat(17),
-        ] {
-            assert_eq!(WorkerFrame::parse(&frame.encode()).unwrap(), frame);
-        }
-
-        for session in [
-            SessionHello { pid: 4242, token: None },
-            SessionHello {
-                pid: 7,
-                token: Some("secret".into()),
-            },
-        ] {
-            assert_eq!(SessionHello::parse(&session.encode()).unwrap(), session);
-        }
-        assert!(SessionHello::parse(r#"{"token":"secret"}"#).is_err());
-    }
-
-    #[test]
-    fn malformed_frames_are_rejected() {
-        for line in [
-            "",
-            "not json",
-            "{}",
-            r#"{"assign":{"chunk":1}}"#,
-            r#"{"chunk_end":1,"fnv1a":"xyz"}"#,
-            r#"{"chunk":1}"#,
-        ] {
-            assert!(WorkerFrame::parse(line).is_err() || Assign::parse(line).is_err());
-        }
-        assert!(Hello::parse(r#"{"id":"j1"}"#).is_err());
-        assert!(Hello::parse(r#"{"job":{"name":"x","nodes":["5nm"]},"id":"j1"}"#).is_err());
-    }
 
     #[test]
     fn rows_checksum_matches_manual_fnv() {
@@ -474,68 +512,80 @@ mod tests {
         assert_ne!(rows_checksum(&rows), rows_checksum(&rows[..1]));
     }
 
-    #[test]
-    fn in_process_worker_answers_assignments() {
+    fn one_chunk_spec() -> JobSpec {
         let mut spec = JobSpec::build(
             "inproc",
             Scale::Test,
             vec!["gzip".into()],
             vec![leakage_cachesim::Level1::Instruction],
             vec![leakage_energy::TechnologyNode::N70],
-            crate::spec::PermilleAxis { from: 1000, to: 1003, step: 1 },
+            crate::spec::PermilleAxis {
+                from: 1000,
+                to: 1003,
+                step: 1,
+            },
             crate::spec::MIN_CHUNK_POINTS,
         )
         .unwrap();
         spec.chunk_points = crate::spec::MIN_CHUNK_POINTS;
-        let hello = Hello {
-            job_id: spec.id(),
-            spec: spec.clone(),
+        spec
+    }
+
+    /// Every frame `FrameReader` yields for `bytes`, then the reason it
+    /// stopped (`None`: a clean end of stream).
+    fn read_all(bytes: &[u8], max_points: u64) -> (Vec<Inbound>, Option<String>) {
+        let mut reader = FrameReader::new(bytes, max_points);
+        let mut frames = Vec::new();
+        loop {
+            match reader.next_frame() {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => return (frames, None),
+                Err(reason) => return (frames, Some(reason)),
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_response_reads_back_as_a_sealed_chunk() {
+        let spec = one_chunk_spec();
+        let assign = Assign {
+            chunk: 0,
+            start: 0,
+            end: spec.point_count(),
         };
-        let script = format!(
-            "{}\n{}\n",
-            hello.encode(),
-            Assign { chunk: 0, start: 0, end: spec.point_count() }.encode()
+        let response = chunk_response(&spec, ProfileStore::global(), &assign);
+        let stream = format!(
+            "{}\n{response}{}\n",
+            WorkerFrame::Ready(7).encode(),
+            WorkerFrame::Heartbeat(1).encode()
         );
-        let mut out = Vec::new();
-        run_worker(script.as_bytes(), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(matches!(
-            WorkerFrame::parse(lines[0]).unwrap(),
-            WorkerFrame::Ready(_)
-        ));
-        assert_eq!(
-            WorkerFrame::parse(lines[1]).unwrap(),
-            WorkerFrame::ChunkStart { chunk: 0, points: 4 }
-        );
-        let rows: Vec<String> = lines[2..6].iter().map(|l| l.to_string()).collect();
+        let (frames, end) = read_all(stream.as_bytes(), 16);
+        assert_eq!(end, None);
+        assert_eq!(frames.len(), 3);
+        assert_eq!(frames[0], Inbound::Ready);
+        assert_eq!(frames[2], Inbound::Heartbeat);
+        let Inbound::ChunkDone { chunk: 0, rows } = &frames[1] else {
+            panic!("{:?}", frames[1]);
+        };
+        assert_eq!(rows.len(), 4);
         assert!(rows.iter().all(|r| r.contains("\"benchmark\": \"gzip\"")));
         assert!(rows[0].contains("\"refetch_permille\": 1000"));
-        assert_eq!(
-            WorkerFrame::parse(lines[6]).unwrap(),
-            WorkerFrame::ChunkEnd { chunk: 0, fnv1a: rows_checksum(&rows) }
-        );
     }
 
     #[test]
     fn out_of_range_assignment_reports_chunk_err() {
         let spec = JobSpec::default_axes("range", Scale::Test);
-        let hello = Hello {
-            job_id: spec.id(),
-            spec: spec.clone(),
+        let assign = Assign {
+            chunk: 5,
+            start: 0,
+            end: spec.point_count() + 1,
         };
-        let script = format!(
-            "{}\n{}\n",
-            hello.encode(),
-            Assign { chunk: 5, start: 0, end: spec.point_count() + 1 }.encode()
+        let response = chunk_response(&spec, ProfileStore::global(), &assign);
+        let (frames, end) = read_all(response.as_bytes(), 16);
+        assert_eq!(end, None);
+        assert!(
+            matches!(frames[..], [Inbound::ChunkErr { chunk: 5, .. }]),
+            "{frames:?}"
         );
-        let mut out = Vec::new();
-        run_worker(script.as_bytes(), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let last = text.lines().last().unwrap();
-        assert!(matches!(
-            WorkerFrame::parse(last).unwrap(),
-            WorkerFrame::ChunkErr { chunk: 5, .. }
-        ));
     }
 }

@@ -1,19 +1,26 @@
-//! Worker transports: local stdio children and remote TCP sessions.
+//! Worker links and the worker session: one protocol, two kinds of
+//! stream.
 //!
-//! The runner drives every worker through [`WorkerTransport`], so the
-//! scheduling, lease, and checkpoint machinery is transport-blind:
+//! Every worker, local or remote, runs the same `serve_session`:
+//! wait for the job hello, answer `ready`, heartbeat from a side
+//! thread, and answer assignments until the coordinator closes its
+//! half. Only the stream and the ownership differ:
 //!
-//! * [`StdioTransport`] wraps a locally-spawned child exactly as the
-//!   pre-socket fabric did — same spawn, same pipes, same bytes — so
-//!   the stdio protocol stays byte-compatible.
-//! * [`SocketTransport`] wraps one admitted TCP session. Remote
-//!   workers dial the coordinator's `--job-listen` address, admit
-//!   themselves with a `{"worker":pid,"token":"…"}` line, and wait in
-//!   the [`RemoteGate`] pool until a job runner adopts them with the
-//!   normal hello.
+//! * a **local** worker is a child the fabric spawns with one end of a
+//!   Unix socket pair as its stdin (`WorkerLink::spawn`); it serves
+//!   one session and exits 0 at end of input. The fabric owns it:
+//!   spawns, kills, respawns and reaps it.
+//! * a **remote** worker dials the coordinator's `--job-listen`
+//!   address, admits itself with a `{"worker":pid,"token":"…"}` line,
+//!   and waits in the [`RemoteGate`] pool until a job runner adopts it
+//!   ([`RemoteGate::take`]). It owns itself and redials with jittered
+//!   backoff when a session ends ([`run_remote_worker`]).
 //!
-//! Network faults are injected here, on the data-frame send path of
-//! both directions, via four `LEAKAGE_FAULTS` sites:
+//! The runner holds either as a [`WorkerLink`]: a stream plus, for a
+//! local worker, its `Child`.
+//!
+//! Network faults are injected on the data-frame send path of both
+//! directions, via four `LEAKAGE_FAULTS` sites:
 //!
 //! ```text
 //! net/drop=drop#2                the 2nd data frame vanishes
@@ -31,11 +38,13 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::process::{Child, ChildStdin, ChildStdout};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::os::fd::{AsFd, OwnedFd};
+use std::os::unix::net::UnixStream;
+use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use leakage_experiments::ProfileStore;
 use leakage_faults::{drop_point, dup_point, panic_point, JitteredBackoff};
@@ -43,108 +52,76 @@ use leakage_telemetry::{counter, gauge, warn};
 
 use crate::protocol::{chunk_response, Assign, Hello, SessionHello, WorkerFrame};
 
-/// How long the listener waits for a connecting worker's admission
-/// line before dropping it.
+/// How long the listener gives a connecting worker to deliver its
+/// whole admission line before dropping it.
 const ADMISSION_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Longest admission line the listener reads: a pid and a token fit
+/// in a fraction of this.
+const MAX_ADMISSION_BYTES: usize = 1024;
 
 /// Accept-loop polling period: how often the listener checks for new
 /// connections, dead pooled sessions, and shutdown.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
-/// One worker link, as the job runner sees it. Implementations must
-/// make [`WorkerTransport::take_reader`]'s stream observe `kill` (the
-/// reader thread unblocks with EOF or an error when the link dies).
-pub trait WorkerTransport: Send {
-    /// Writes one newline-terminated protocol line and flushes.
+/// Heartbeat period of a local worker, well inside any sensible
+/// `heartbeat_timeout`.
+const LOCAL_HEARTBEAT: Duration = Duration::from_millis(250);
+
+/// A worker link's byte stream: TCP for remote workers, one end of a
+/// Unix socket pair for local ones.
+#[derive(Debug)]
+pub(crate) enum Stream {
+    /// An admitted remote session.
+    Tcp(TcpStream),
+    /// A local child's socket pair end.
+    Unix(UnixStream),
+}
+
+impl Stream {
+    /// A second handle on the same socket (for a reader thread, or a
+    /// writer shared with the heartbeat thread).
     ///
     /// # Errors
     ///
-    /// The underlying pipe/socket error; the runner treats any failure
-    /// as a dead worker.
-    fn send_line(&mut self, line: &str) -> io::Result<()>;
+    /// The `dup` failure.
+    pub(crate) fn try_clone(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+        })
+    }
 
-    /// The read half, taken once for the runner's reader thread.
-    fn take_reader(&mut self) -> Option<Box<dyn Read + Send>>;
-
-    /// Graceful retirement: the worker observes end-of-input and
-    /// (stdio) exits 0 / (socket) returns to its redial loop.
-    fn close_input(&mut self);
-
-    /// Hard teardown of the link.
-    fn kill(&mut self);
-
-    /// Releases any OS resources `kill` leaves behind (zombie reaping
-    /// for children; a no-op for sockets).
-    fn reap(&mut self);
-
-    /// The worker's pid, for status displays.
-    fn id(&self) -> u32;
-
-    /// Whether the runner owns this worker's lifetime (it respawns
-    /// dead local workers; remote ones redial on their own).
-    fn is_local(&self) -> bool;
-}
-
-/// A locally-spawned worker child on stdin/stdout pipes.
-pub struct StdioTransport {
-    child: Child,
-    stdin: Option<ChildStdin>,
-    stdout: Option<ChildStdout>,
-    pid: u32,
-}
-
-impl StdioTransport {
-    /// Wraps a freshly-spawned child, taking its pipes. The child must
-    /// have been spawned with piped stdin and stdout.
-    pub fn new(mut child: Child) -> StdioTransport {
-        let stdin = child.stdin.take();
-        let stdout = child.stdout.take();
-        let pid = child.id();
-        StdioTransport {
-            child,
-            stdin,
-            stdout,
-            pid,
+    fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.shutdown(how),
+            Stream::Unix(s) => s.shutdown(how),
         }
     }
 }
 
-impl WorkerTransport for StdioTransport {
-    fn send_line(&mut self, line: &str) -> io::Result<()> {
-        let Some(stdin) = self.stdin.as_mut() else {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "worker stdin already retired",
-            ));
-        };
-        stdin.write_all(line.as_bytes())?;
-        stdin.write_all(b"\n")?;
-        stdin.flush()
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.read(buf),
+            Stream::Unix(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write(buf),
+            Stream::Unix(s) => s.write(buf),
+        }
     }
 
-    fn take_reader(&mut self) -> Option<Box<dyn Read + Send>> {
-        self.stdout.take().map(|out| Box::new(out) as Box<dyn Read + Send>)
-    }
-
-    fn close_input(&mut self) {
-        self.stdin = None;
-    }
-
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-    }
-
-    fn reap(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-
-    fn id(&self) -> u32 {
-        self.pid
-    }
-
-    fn is_local(&self) -> bool {
-        true
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.flush(),
+            Stream::Unix(s) => s.flush(),
+        }
     }
 }
 
@@ -166,69 +143,101 @@ impl ConnGuard {
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
-        let now = self.connected.fetch_sub(1, Ordering::SeqCst).saturating_sub(1);
+        let now = self
+            .connected
+            .fetch_sub(1, Ordering::SeqCst)
+            .saturating_sub(1);
         gauge!("jobs_remote_workers_connected").set(now as u64);
     }
 }
 
-/// An admitted remote worker waiting in the pool for a job to adopt
-/// it.
-pub struct RemoteSession {
-    stream: TcpStream,
+/// One worker as a job runner drives it: the protocol stream, and the
+/// child process when the fabric owns the worker.
+pub struct WorkerLink {
+    stream: Stream,
     pid: u32,
-    guard: ConnGuard,
+    child: Option<Child>,
+    _admitted: Option<ConnGuard>,
 }
 
-/// One adopted remote session, driven by a job runner.
-pub struct SocketTransport {
-    stream: TcpStream,
-    reader: Option<TcpStream>,
-    pid: u32,
-    _guard: ConnGuard,
-}
-
-impl SocketTransport {
-    /// Adopts a pooled session. The reader half is a `try_clone` of
-    /// the stream so `kill`'s shutdown unblocks it.
-    pub fn adopt(session: RemoteSession) -> io::Result<SocketTransport> {
-        let reader = session.stream.try_clone()?;
-        Ok(SocketTransport {
-            stream: session.stream,
-            reader: Some(reader),
-            pid: session.pid,
-            _guard: session.guard,
+impl WorkerLink {
+    /// Spawns a local worker: `command` (the worker binary, with no
+    /// arguments) gets one end of a fresh socket pair as its stdin and
+    /// no stdout. `command` is consumed so the parent's copy of the
+    /// child's end closes here, and the child's exit is seen as end of
+    /// stream.
+    ///
+    /// # Errors
+    ///
+    /// The socket-pair or spawn failure.
+    pub(crate) fn spawn(mut command: Command) -> io::Result<WorkerLink> {
+        let (ours, theirs) = UnixStream::pair()?;
+        command
+            .stdin(Stdio::from(OwnedFd::from(theirs)))
+            .stdout(Stdio::null());
+        let child = command.spawn()?;
+        Ok(WorkerLink {
+            stream: Stream::Unix(ours),
+            pid: child.id(),
+            child: Some(child),
+            _admitted: None,
         })
     }
-}
 
-impl WorkerTransport for SocketTransport {
-    fn send_line(&mut self, line: &str) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(line.len() + 1);
-        payload.extend_from_slice(line.as_bytes());
-        payload.push(b'\n');
-        faulted_send(&mut self.stream, &payload)
+    /// Writes one newline-terminated protocol line through the network
+    /// fault sites.
+    ///
+    /// # Errors
+    ///
+    /// The socket error; the runner treats any failure as a dead
+    /// worker.
+    pub(crate) fn send_line(&mut self, line: &str) -> io::Result<()> {
+        faulted_send(&mut self.stream, format!("{line}\n").as_bytes())
     }
 
-    fn take_reader(&mut self) -> Option<Box<dyn Read + Send>> {
-        self.reader.take().map(|half| Box::new(half) as Box<dyn Read + Send>)
+    /// The read half for the runner's reader thread. It unblocks with
+    /// end of stream or an error when the link is killed.
+    ///
+    /// # Errors
+    ///
+    /// The `dup` failure.
+    pub(crate) fn reader(&self) -> io::Result<Stream> {
+        self.stream.try_clone()
     }
 
-    fn close_input(&mut self) {
+    /// Graceful retirement: the worker sees end of input; a local one
+    /// exits 0, a remote one returns to its redial loop.
+    pub(crate) fn close_input(&mut self) {
         let _ = self.stream.shutdown(Shutdown::Write);
     }
 
-    fn kill(&mut self) {
+    /// Hard teardown: severs the stream and, for a local worker, kills
+    /// the process.
+    pub(crate) fn kill(&mut self) {
         let _ = self.stream.shutdown(Shutdown::Both);
+        if let Some(child) = self.child.as_mut() {
+            let _ = child.kill();
+        }
     }
 
-    fn reap(&mut self) {}
+    /// [`Self::kill`], then waits for a local worker's process to be
+    /// reaped.
+    pub(crate) fn reap(&mut self) {
+        self.kill();
+        if let Some(child) = self.child.as_mut() {
+            let _ = child.wait();
+        }
+    }
 
-    fn id(&self) -> u32 {
+    /// The worker's OS pid, for status displays.
+    pub fn pid(&self) -> u32 {
         self.pid
     }
 
-    fn is_local(&self) -> bool {
-        false
+    /// Whether the fabric owns the worker's process (spawns, kills and
+    /// respawns it); remote workers redial on their own.
+    pub(crate) fn owned(&self) -> bool {
+        self.child.is_some()
     }
 }
 
@@ -236,7 +245,7 @@ impl WorkerTransport for SocketTransport {
 /// `net/delay` and `net/partition` are latency sites (the distinction
 /// is magnitude and separate arrival counters); `net/drop` swallows
 /// the payload; `net/dup` sends it twice.
-fn faulted_send(stream: &mut (impl Write + ?Sized), payload: &[u8]) -> io::Result<()> {
+fn faulted_send(stream: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     panic_point("net/delay");
     panic_point("net/partition");
     if drop_point("net/drop") {
@@ -258,7 +267,7 @@ fn faulted_send(stream: &mut (impl Write + ?Sized), payload: &[u8]) -> io::Resul
 pub struct RemoteGate {
     addr: SocketAddr,
     token: Option<String>,
-    pool: Mutex<Vec<RemoteSession>>,
+    pool: Mutex<Vec<WorkerLink>>,
     connected: Arc<AtomicUsize>,
     stop: Arc<AtomicBool>,
     accept: Mutex<Option<JoinHandle<()>>>,
@@ -302,8 +311,8 @@ impl RemoteGate {
         self.connected.load(Ordering::SeqCst)
     }
 
-    /// Takes one pooled session for a job runner to adopt.
-    pub fn take(&self) -> Option<RemoteSession> {
+    /// Takes one pooled worker for a job runner to adopt.
+    pub fn take(&self) -> Option<WorkerLink> {
         self.pool
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -348,10 +357,8 @@ impl RemoteGate {
     fn admit(&self, stream: TcpStream, peer: SocketAddr) {
         let session = (|| -> io::Result<SessionHello> {
             stream.set_nonblocking(false)?;
-            stream.set_read_timeout(Some(ADMISSION_TIMEOUT))?;
-            let mut line = String::new();
-            BufReader::new(stream.try_clone()?).read_line(&mut line)?;
-            let hello = SessionHello::parse(line.trim_end())?;
+            let line = read_admission_line(&stream)?;
+            let hello = SessionHello::parse(&line)?;
             stream.set_read_timeout(None)?;
             stream.set_nodelay(true)?;
             Ok(hello)
@@ -366,39 +373,97 @@ impl RemoteGate {
         };
         if self.token.is_some() && hello.token != self.token {
             counter!("jobs_remote_auth_failures_total").inc();
-            warn!("jobs: worker {peer} (pid {}) rejected: bad token", hello.pid);
+            warn!(
+                "jobs: worker {peer} (pid {}) rejected: bad token",
+                hello.pid
+            );
             return;
         }
         counter!("jobs_remote_admissions_total").inc();
         self.pool
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(RemoteSession {
-                guard: ConnGuard::admit(&self.connected),
-                stream,
+            .push(WorkerLink {
+                stream: Stream::Tcp(stream),
                 pid: hello.pid,
+                child: None,
+                _admitted: Some(ConnGuard::admit(&self.connected)),
             });
     }
 
-    /// Evicts pooled sessions whose worker died while idle — a pooled
-    /// worker sends nothing until adopted, so any readable event
-    /// (EOF, an error, or unsolicited bytes) means the session is
-    /// unusable. Keeps the connected gauge honest between jobs.
+    /// Evicts pooled workers that died while idle — a pooled worker
+    /// sends nothing until adopted, so any readable event (EOF, an
+    /// error, or unsolicited bytes) means the link is unusable. Keeps
+    /// the connected gauge honest between jobs.
     fn sweep_pool(&self) {
         let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
-        pool.retain(|session| {
-            let alive = session.stream.set_nonblocking(true).is_ok()
+        pool.retain(|link| {
+            let Stream::Tcp(stream) = &link.stream else {
+                return true;
+            };
+            let alive = stream.set_nonblocking(true).is_ok()
                 && matches!(
-                    session.stream.peek(&mut [0u8; 1]),
+                    stream.peek(&mut [0u8; 1]),
                     Err(ref err) if err.kind() == io::ErrorKind::WouldBlock
                 )
-                && session.stream.set_nonblocking(false).is_ok();
+                && stream.set_nonblocking(false).is_ok();
             if !alive {
-                warn!("jobs: pooled worker pid {} went away", session.pid);
+                warn!("jobs: pooled worker pid {} went away", link.pid);
             }
             alive
         });
     }
+}
+
+/// Reads one admission line of at most [`MAX_ADMISSION_BYTES`], all of
+/// it within [`ADMISSION_TIMEOUT`] of the first read. Admission runs on
+/// the accept thread, so neither a peer that trickles bytes nor one
+/// that never ends its line may hold it longer than that.
+fn read_admission_line(mut stream: &TcpStream) -> io::Result<String> {
+    let deadline = Instant::now() + ADMISSION_TIMEOUT;
+    let mut line = Vec::new();
+    let mut chunk = [0u8; 256];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("no admission line within {ADMISSION_TIMEOUT:?}"),
+            ));
+        }
+        stream.set_read_timeout(Some(left))?;
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        line.extend_from_slice(&chunk[..n]);
+        if let Some(end) = line.iter().position(|&b| b == b'\n') {
+            line.truncate(end);
+            break;
+        }
+        if line.len() > MAX_ADMISSION_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("admission line longer than {MAX_ADMISSION_BYTES} bytes"),
+            ));
+        }
+    }
+    String::from_utf8(line)
+        .map(|text| text.trim_end().to_string())
+        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))
+}
+
+/// The local worker main: serves one session on the socket the
+/// coordinator passed as stdin (`WorkerLink::spawn`) and returns at
+/// end of input.
+///
+/// # Errors
+///
+/// Protocol violations and socket failures; the binary turns these
+/// into a non-zero exit.
+pub fn run_local_worker() -> io::Result<()> {
+    let stdin = io::stdin().as_fd().try_clone_to_owned()?;
+    serve_session(Stream::Unix(UnixStream::from(stdin)), LOCAL_HEARTBEAT).map(drop)
 }
 
 /// Configuration for [`run_remote_worker`].
@@ -486,28 +551,34 @@ pub fn run_remote_worker(config: RemoteWorkerConfig) -> io::Result<()> {
     }
 }
 
-/// Serves one admitted session: wait for a job hello, answer `ready`,
-/// heartbeat from a side thread, and evaluate assignments until the
-/// coordinator closes its half. Returns whether a job hello was seen.
-fn remote_session(stream: TcpStream, config: &RemoteWorkerConfig) -> io::Result<bool> {
+/// Admits one dialed connection, then serves it as a session.
+fn remote_session(mut stream: TcpStream, config: &RemoteWorkerConfig) -> io::Result<bool> {
     stream.set_nodelay(true)?;
+    // Admission is control-plane: no fault sites, so data-frame
+    // arrival counters start at `ready`.
+    let hello = SessionHello {
+        pid: std::process::id(),
+        token: config.token.clone(),
+    };
+    stream.write_all((hello.encode() + "\n").as_bytes())?;
+    stream.flush()?;
+    serve_session(Stream::Tcp(stream), config.heartbeat_every)
+}
+
+/// The worker session, local and remote alike: wait for a job hello,
+/// answer `ready`, heartbeat from a side thread, and evaluate
+/// assignments until the coordinator closes its half. Returns whether
+/// a job hello was seen.
+///
+/// # Errors
+///
+/// Protocol violations and stream failures.
+fn serve_session(stream: Stream, heartbeat_every: Duration) -> io::Result<bool> {
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    {
-        // Admission is control-plane: no fault sites, so data-frame
-        // arrival counters start at `ready`.
-        let mut out = writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let hello = SessionHello {
-            pid: std::process::id(),
-            token: config.token.clone(),
-        };
-        out.write_all(hello.encode().as_bytes())?;
-        out.write_all(b"\n")?;
-        out.flush()?;
-    }
     let mut lines = BufReader::new(stream).lines();
     let hello = match lines.next() {
-        // Pooled until the coordinator went away: a clean, jobless
-        // session.
+        // Closed before any job arrived (a remote worker pooled until
+        // the coordinator went away): a clean, jobless session.
         None => return Ok(false),
         Some(line) => Hello::parse(&line?)?,
     };
@@ -515,15 +586,19 @@ fn remote_session(stream: TcpStream, config: &RemoteWorkerConfig) -> io::Result<
     let beats = spawn_heartbeats(
         Arc::clone(&writer),
         Arc::clone(&stop_beats),
-        config.heartbeat_every,
+        heartbeat_every,
     );
     let session = (|| -> io::Result<()> {
-        send_data(&writer, &(WorkerFrame::Ready(std::process::id()).encode() + "\n"))?;
+        send_data(
+            &writer,
+            &(WorkerFrame::Ready(std::process::id()).encode() + "\n"),
+        )?;
         let store = ProfileStore::global();
         for line in lines {
             let assign = Assign::parse(&line?)?;
-            // Same kill site and placement as the stdio worker: an
-            // armed panic takes the process down, outside any guard.
+            // The kill site, outside any unwinding guard: an armed
+            // `jobs/chunk=panic#N` arm takes this worker down at its
+            // N-th chunk boundary, deterministically.
             panic_point("jobs/chunk");
             let response = chunk_response(&hello.spec, store, &assign);
             send_data(&writer, &response)?;
@@ -538,18 +613,18 @@ fn remote_session(stream: TcpStream, config: &RemoteWorkerConfig) -> io::Result<
 /// Sends one data payload (a whole frame, or a whole chunk response)
 /// under the writer lock, visiting the network fault sites while the
 /// lock is held — so an armed `net/partition` silences heartbeats too.
-fn send_data(writer: &Mutex<TcpStream>, payload: &str) -> io::Result<()> {
+fn send_data(writer: &Mutex<Stream>, payload: &str) -> io::Result<()> {
     let mut out = writer.lock().unwrap_or_else(PoisonError::into_inner);
     faulted_send(&mut *out, payload.as_bytes())
 }
 
 fn spawn_heartbeats(
-    writer: Arc<Mutex<TcpStream>>,
+    writer: Arc<Mutex<Stream>>,
     stop: Arc<AtomicBool>,
     every: Duration,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        let seq = AtomicU64::new(1);
+        let mut seq = 0;
         let slice = Duration::from_millis(25).min(every);
         let mut elapsed = Duration::ZERO;
         while !stop.load(Ordering::SeqCst) {
@@ -559,13 +634,14 @@ fn spawn_heartbeats(
                 continue;
             }
             elapsed = Duration::ZERO;
-            let frame = WorkerFrame::Heartbeat(seq.fetch_add(1, Ordering::Relaxed)).encode();
+            seq += 1;
+            let frame = WorkerFrame::Heartbeat(seq).encode() + "\n";
             let mut out = writer.lock().unwrap_or_else(PoisonError::into_inner);
-            let sent = out
+            if out
                 .write_all(frame.as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
-                .and_then(|()| out.flush());
-            if sent.is_err() {
+                .and_then(|()| out.flush())
+                .is_err()
+            {
                 // The session writer is dead; the main loop will see
                 // it too. Stop beating.
                 return;
@@ -578,52 +654,52 @@ fn spawn_heartbeats(
 mod tests {
     use super::*;
 
+    fn wait_for(limit: Duration, done: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + limit;
+        while Instant::now() < deadline {
+            if done() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        done()
+    }
+
+    fn admission(pid: u32, token: Option<&str>) -> Vec<u8> {
+        let hello = SessionHello {
+            pid,
+            token: token.map(str::to_string),
+        };
+        (hello.encode() + "\n").into_bytes()
+    }
+
     #[test]
     fn gate_admits_token_holders_and_rejects_the_rest() {
         let gate = RemoteGate::bind("127.0.0.1:0", Some("sesame".into())).unwrap();
         let addr = gate.addr();
 
-        let dial = |line: Option<String>| {
+        let dial = |line: &[u8]| {
             let mut stream = TcpStream::connect(addr).unwrap();
-            if let Some(line) = line {
-                stream.write_all(line.as_bytes()).unwrap();
-                stream.write_all(b"\n").unwrap();
-                stream.flush().unwrap();
-            }
+            stream.write_all(line).unwrap();
+            stream.flush().unwrap();
             stream
         };
-        let good = dial(Some(
-            SessionHello {
-                pid: 4321,
-                token: Some("sesame".into()),
-            }
-            .encode(),
-        ));
-        let _bad_token = dial(Some(
-            SessionHello {
-                pid: 1,
-                token: Some("wrong".into()),
-            }
-            .encode(),
-        ));
-        let _not_json = dial(Some("hello?".into()));
+        let good = dial(&admission(4321, Some("sesame")));
+        let _bad_token = dial(&admission(1, Some("wrong")));
+        let _not_json = dial(b"hello?\n");
 
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let session = loop {
-            if let Some(session) = gate.take() {
-                break session;
-            }
-            assert!(std::time::Instant::now() < deadline, "admission timed out");
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        assert_eq!(session.pid, 4321, "only the token holder is admitted");
+        assert!(
+            wait_for(Duration::from_secs(5), || gate.connected() == 1),
+            "admission timed out"
+        );
+        let link = gate.take().expect("admitted");
+        assert_eq!(link.pid(), 4321, "only the token holder is admitted");
+        assert!(!link.owned());
         assert_eq!(gate.connected(), 1);
         assert!(gate.take().is_none(), "rejects never reach the pool");
 
-        // Adopting and dropping the session returns the gauge to zero.
-        let transport = SocketTransport::adopt(session).unwrap();
-        assert!(!transport.is_local());
-        drop(transport);
+        // Dropping the adopted link returns the gauge to zero.
+        drop(link);
         drop(good);
         assert_eq!(gate.connected(), 0);
         gate.stop();
@@ -632,25 +708,20 @@ mod tests {
     #[test]
     fn sweep_evicts_dead_pooled_workers() {
         let gate = RemoteGate::bind("127.0.0.1:0", None).unwrap();
-        let addr = gate.addr();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all((SessionHello { pid: 9, token: None }.encode() + "\n").as_bytes())
-            .unwrap();
+        let mut stream = TcpStream::connect(gate.addr()).unwrap();
+        stream.write_all(&admission(9, None)).unwrap();
         stream.flush().unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while gate.connected() == 0 {
-            assert!(std::time::Instant::now() < deadline, "admission timed out");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        assert!(
+            wait_for(Duration::from_secs(5), || gate.connected() == 1),
+            "admission timed out"
+        );
         // The worker dies while pooled; the sweep notices without any
         // job ever adopting the session.
         drop(stream);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while gate.connected() != 0 {
-            assert!(std::time::Instant::now() < deadline, "sweep missed the dead worker");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        assert!(
+            wait_for(Duration::from_secs(5), || gate.connected() == 0),
+            "sweep missed the dead worker"
+        );
         assert!(gate.take().is_none());
         gate.stop();
     }
@@ -669,5 +740,35 @@ mod tests {
         faulted_send(&mut wire, b"three\n").unwrap(); // duplicated
         leakage_faults::set_plane(Plane::empty());
         assert_eq!(wire, b"one\nthree\nthree\n");
+    }
+
+    #[test]
+    fn a_session_over_a_socket_pair_answers_and_ends_at_eof() {
+        let spec = crate::spec::JobSpec::default_axes("pair", leakage_workloads::Scale::Test);
+        let hello = Hello {
+            job_id: spec.id(),
+            spec: spec.clone(),
+        };
+        let assign = Assign {
+            chunk: 0,
+            start: 0,
+            end: 2,
+        };
+        let (mut ours, theirs) = UnixStream::pair().unwrap();
+        let worker = std::thread::spawn(move || {
+            serve_session(Stream::Unix(theirs), Duration::from_secs(60))
+        });
+        ours.write_all(format!("{}\n{}\n", hello.encode(), assign.encode()).as_bytes())
+            .unwrap();
+        ours.shutdown(Shutdown::Write).unwrap();
+        let mut text = String::new();
+        ours.read_to_string(&mut text).unwrap();
+        assert!(worker.join().unwrap().unwrap(), "a hello was served");
+        let (ready, rest) = text.split_once('\n').unwrap();
+        assert!(matches!(
+            WorkerFrame::parse(ready),
+            Ok(WorkerFrame::Ready(_))
+        ));
+        assert_eq!(rest, chunk_response(&spec, ProfileStore::global(), &assign));
     }
 }

@@ -187,10 +187,23 @@ fn crash_matrix_runs_are_byte_identical_to_golden() {
     assert_eq!(spec.chunk_count(), 7);
 
     // Golden: fault-free, two workers.
-    let golden_fabric = fabric(scenario_dir("golden"), 2, &[]);
+    let golden_dir = scenario_dir("golden");
+    let golden_fabric = fabric(golden_dir.clone(), 2, &[]);
     let id = submit(&golden_fabric, &spec);
     wait_done(&golden_fabric, &id, "golden");
     let golden = all_pages(&golden_fabric, &id, "golden");
+
+    // A finished job directory holds the spec and one checkpoint per
+    // chunk, nothing else: leases live in the runner's memory.
+    let mut entries: Vec<String> = std::fs::read_dir(golden_dir.join(&id))
+        .expect("job dir")
+        .map(|entry| entry.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    let mut expected = vec!["job.json".to_string()];
+    expected.extend((0..7).map(|chunk| format!("chunk-{chunk:06}.ckpt")));
+    expected.sort();
+    assert_eq!(entries, expected, "golden job dir");
 
     // Spot-check the golden rows against the in-process oracle: point
     // 6 is the first benchmark/side/node at permille 1000 (the

@@ -3,7 +3,7 @@
 //! output buffer pipelined responses are batched into, and the
 //! keep-alive bookkeeping (requests served, close fate, idle clock).
 
-use crate::http::{parse_request, BadRequest, Parse, Request};
+use crate::http::{parse_request_resuming, BadRequest, Parse, Request};
 use crate::trace::{next_trace_id, us32, PendingRecord};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -58,6 +58,10 @@ pub struct Connection {
     pub last_serialize_us: u32,
     /// Write duration of the previous flushed batch, likewise.
     pub last_write_us: u32,
+    /// How far the search for the buffered request's header end got
+    /// (see [`parse_request_resuming`]); 0 whenever a request is
+    /// consumed.
+    header_scan: usize,
 }
 
 impl Connection {
@@ -75,6 +79,7 @@ impl Connection {
             pending: Vec::new(),
             last_serialize_us: 0,
             last_write_us: 0,
+            header_scan: 0,
         }
     }
 
@@ -84,9 +89,10 @@ impl Connection {
     /// is still served, with `Connection: close` on its response.
     pub fn take_request(&mut self, max_requests: u32) -> Taken {
         let parse_started = Instant::now();
-        match parse_request(&self.buf) {
+        match parse_request_resuming(&self.buf, &mut self.header_scan) {
             Parse::Complete { mut request, used } => {
                 self.buf.drain(..used);
+                self.header_scan = 0;
                 self.served += 1;
                 if max_requests != 0 && self.served >= max_requests {
                     self.close = true;
@@ -106,6 +112,7 @@ impl Connection {
                 let recoverable = match used {
                     Some(n) => {
                         self.buf.drain(..n);
+                        self.header_scan = 0;
                         true
                     }
                     None => {
@@ -130,6 +137,73 @@ impl Connection {
     /// decidedly bad) request — i.e. whether a worker should keep
     /// going without returning to the reactor.
     pub fn has_buffered_request(&self) -> bool {
-        !matches!(parse_request(&self.buf), Parse::Partial)
+        !matches!(
+            parse_request_resuming(&self.buf, &mut self.header_scan.clone()),
+            Parse::Partial
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::MAX_HEADER_BYTES;
+    use std::net::{TcpListener, TcpStream};
+
+    #[test]
+    fn a_trickled_header_is_scanned_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = Connection::new(stream, 1);
+
+        let mut head = b"GET /healthz HTTP/1.1\r\n".to_vec();
+        while head.len() <= MAX_HEADER_BYTES {
+            head.extend_from_slice(b"X-Filler: abcdefghijklmnop\r\n");
+        }
+        // The reactor's read path, one byte per read: every parse
+        // attempt may re-scan only the bytes that arrived since the
+        // last one, plus the two a terminator can straddle.
+        let mut scanned = 0;
+        for &byte in &head {
+            let resume = conn.header_scan;
+            conn.buf.push(byte);
+            scanned += conn.buf.len() - resume;
+            match conn.take_request(0) {
+                Taken::NeedMore => {}
+                Taken::Bad { bad, recoverable } => {
+                    assert_eq!(bad.status, 431);
+                    assert!(!recoverable);
+                    assert!(conn.buf.len() > MAX_HEADER_BYTES);
+                    break;
+                }
+                Taken::Request(_) => panic!("an unterminated header completed"),
+            }
+        }
+        assert!(conn.close, "refused past the cap");
+        assert!(
+            scanned <= 3 * (MAX_HEADER_BYTES + 1),
+            "{scanned} bytes scanned for a {}-byte header",
+            conn.buf.len()
+        );
+
+        // A terminator that straddles reads is still found, and the
+        // next request starts its scan from the front.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = Connection::new(stream, 2);
+        for &byte in b"GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /b HTTP/1.1\r\n\r\n" {
+            conn.buf.push(byte);
+            if let Taken::Request(request) = conn.take_request(0) {
+                assert_eq!(conn.header_scan, 0);
+                assert!(
+                    request.path == "/a" || request.path == "/b",
+                    "{}",
+                    request.path
+                );
+            }
+        }
+        assert_eq!(conn.served, 2);
     }
 }

@@ -159,9 +159,10 @@ fn find_newline(buf: &[u8], from: usize) -> Option<usize> {
 }
 
 /// Finds the end of the header block: the index just past the first
-/// `\r\n\r\n` or `\n\n`.
-fn find_header_end(buf: &[u8]) -> Option<usize> {
-    let mut i = 0;
+/// `\r\n\r\n` or `\n\n`, scanning from `from` (no earlier newline
+/// may start one).
+fn find_header_end(buf: &[u8], from: usize) -> Option<usize> {
+    let mut i = from;
     while let Some(nl) = find_newline(buf, i) {
         match buf.get(nl + 1) {
             Some(b'\n') => return Some(nl + 2),
@@ -175,10 +176,24 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 /// Incrementally parses one request from the front of `buf`.
 ///
 /// This is the only request parser: the reactor calls it after each
-/// readiness-driven read, and workers call it to peel pipelined
-/// successors off an already-filled buffer.
+/// readiness-driven read (through [`parse_request_resuming`]), and
+/// workers call it to peel pipelined successors off an already-filled
+/// buffer.
 pub fn parse_request(buf: &[u8]) -> Parse {
-    let Some(head_end) = find_header_end(buf) else {
+    parse_request_resuming(buf, &mut 0)
+}
+
+/// [`parse_request`] for a buffer that only grows between calls:
+/// `scanned` is how far earlier calls got looking for the end of the
+/// header block, and the search resumes there, so a header that
+/// trickles in is scanned once rather than once per read. Start it at
+/// 0 for a new request; it only advances while the header block is
+/// incomplete.
+pub fn parse_request_resuming(buf: &[u8], scanned: &mut usize) -> Parse {
+    let Some(head_end) = find_header_end(buf, (*scanned).min(buf.len())) else {
+        // Every newline before the last two bytes was followed far
+        // enough to rule out a terminator; resume at the rest.
+        *scanned = buf.len().saturating_sub(2);
         if buf.len() > MAX_HEADER_BYTES {
             return Parse::Bad {
                 bad: BadRequest::new(431, "request headers too large"),
@@ -784,7 +799,7 @@ fn header_name_is(raw: &[u8], name: &str) -> bool {
 ///
 /// `InvalidData` on a malformed status line.
 pub fn parse_response(buf: &[u8]) -> io::Result<Option<(ClientResponse, usize)>> {
-    let Some(head_end) = find_header_end(buf) else {
+    let Some(head_end) = find_header_end(buf, 0) else {
         return Ok(None);
     };
     let head = &buf[..head_end];

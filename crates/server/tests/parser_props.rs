@@ -5,8 +5,8 @@
 //!
 //! - **Split-invariance.** TCP delivers a byte stream in arbitrary
 //!   pieces. Feeding a pipelined stream in any split — appending each
-//!   piece to a buffer and draining parsed requests by `used`, exactly
-//!   as `Connection::take_request` does, with chunked bodies streamed
+//!   piece to a buffer, resuming the header scan, and draining parsed
+//!   requests by `used`, exactly as `Connection::take_request` does, with chunked bodies streamed
 //!   through a decoder as `streaming::serve_upload` does — must yield
 //!   the same outcomes as feeding it whole.
 //! - **No panics.** Arbitrary mutations of valid requests end in typed
@@ -14,7 +14,7 @@
 //! - **Bounded growth.** A header block that never ends is refused with
 //!   431 as soon as it exceeds `MAX_HEADER_BYTES`.
 
-use leakage_server::http::{parse_request, ChunkedDecoder, Parse, MAX_HEADER_BYTES};
+use leakage_server::http::{parse_request_resuming, ChunkedDecoder, Parse, MAX_HEADER_BYTES};
 use proptest::prelude::*;
 
 /// What a connection observes, in order. Requests are reduced to the
@@ -43,12 +43,14 @@ enum Outcome {
 }
 
 /// The server's read side reduced to its buffer discipline: bytes are
-/// appended as they arrive, complete requests are drained by `used`,
-/// and a chunked request's body is pumped through a `ChunkedDecoder`
-/// before the next request is framed.
+/// appended as they arrive, the header scan resumes where the last
+/// attempt stopped, complete requests are drained by `used`, and a
+/// chunked request's body is pumped through a `ChunkedDecoder` before
+/// the next request is framed.
 #[derive(Default)]
 struct Wire {
     buf: Vec<u8>,
+    scan: usize,
     upload: Option<(ChunkedDecoder, Vec<u8>)>,
     outcomes: Vec<Outcome>,
     closed: bool,
@@ -85,9 +87,10 @@ impl Wire {
                 }
                 continue;
             }
-            match parse_request(&self.buf) {
+            match parse_request_resuming(&self.buf, &mut self.scan) {
                 Parse::Complete { request, used } => {
                     self.buf.drain(..used);
+                    self.scan = 0;
                     if request.chunked {
                         self.upload = Some((ChunkedDecoder::new(), Vec::new()));
                     }
@@ -106,6 +109,7 @@ impl Wire {
                     match used {
                         Some(n) => {
                             self.buf.drain(..n);
+                            self.scan = 0;
                         }
                         None => self.closed = true,
                     }
@@ -442,8 +446,8 @@ proptest! {
 }
 
 proptest! {
-    // Each case grows a header past 16 KiB and reparses it after every
-    // piece, so fewer cases cover the same ground.
+    // Each case grows a header past 16 KiB, feeding it piece by piece,
+    // so fewer cases cover the same ground.
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A header block with no blank line stays `Partial` up to

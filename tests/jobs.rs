@@ -17,8 +17,9 @@ const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 const JOB_DEADLINE: Duration = Duration::from_secs(180);
 
 /// `cargo test` at the workspace root only builds the root package's
-/// own binaries, so the worker that `crates/jobs` ships may not exist
-/// yet; build it once before the first fabric spawns.
+/// own binaries, so the worker that `crates/jobs` ships may be missing
+/// or older than the fabric linked into this test; build it once
+/// before the first fabric spawns (a no-op when it is up to date).
 fn ensure_worker_bin() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
@@ -28,11 +29,8 @@ fn ensure_worker_bin() {
             .find(|dir| dir.ends_with("debug") || dir.ends_with("release"))
             .expect("test exe lives under target/<profile>/")
             .to_path_buf();
-        if profile_dir.join("leakage-job-worker").exists() {
-            return;
-        }
         let mut build = std::process::Command::new(env!("CARGO"));
-        build.args(["build", "-p", "leakage-jobs", "--bin", "leakage-job-worker"]);
+        build.args(["build", "--quiet", "-p", "leakage-jobs", "--bin", "leakage-job-worker"]);
         if profile_dir.ends_with("release") {
             build.arg("--release");
         }
